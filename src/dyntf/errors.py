@@ -7,4 +7,5 @@ class DataError(Exception):
 
 
 class DivergenceError(Exception):
-    """Training produced a non-finite accumulator; the model has diverged."""
+    """Training produced a non-finite accumulator or parameter, or a model
+    whose predictions could overflow; the model has diverged."""

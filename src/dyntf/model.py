@@ -17,6 +17,11 @@ A window parameter bounds how far back W may reach: w[k, l] = 0 whenever
 k - l > window. window = K - 1 allows the full lower triangle; window = 0
 pins W to the identity and reduces the model to a plain biased
 factorization.
+
+W is stored as its band, a (K, window) array with band[k, m - 1] =
+w[k, k - m]; the unit diagonal and the zeros are implied. Contractions
+with W run lag by lag in O(K * window * D); `TemporalWeights.w` builds a
+read-only dense copy on demand.
 """
 
 from __future__ import annotations
@@ -29,45 +34,52 @@ import numpy as np
 
 @dataclass
 class TemporalWeights:
-    """Lower-triangular mixing weights over temporal slots.
+    """Lower-triangular mixing weights stored by band, band[k, m - 1] =
+    w[k, k - m]. Invariants: shape (K, window) with window in [0, K-1],
+    every entry nonnegative and finite, and exactly 0 where k < m."""
 
-    Invariants: unit diagonal, zero above the diagonal, zero below the
-    band of width `window`, all elements nonnegative and finite.
-    """
-
-    w: np.ndarray
+    band: np.ndarray
     window: int
 
+    @property
+    def w(self) -> np.ndarray:
+        """Dense K x K matrix, built on demand and read-only."""
+        ks, ls = band_indices(len(self.band), self.window)
+        w = np.eye(len(self.band))
+        w[ks, ls] = self.band[ks, ks - ls - 1]
+        w.flags.writeable = False
+        return w
+
+    def mix(self, x: np.ndarray, transpose: bool = False) -> np.ndarray:
+        """W @ x (or W.T @ x) for x with K rows, one lag at a time."""
+        out = x.copy()
+        for m in range(1, self.window + 1):
+            lag = self.band[m:, m - 1].reshape((-1,) + (1,) * (x.ndim - 1))
+            if transpose:
+                out[:-m] += lag * x[m:]
+            else:
+                out[m:] += lag * x[:-m]
+        return out
+
     def validate(self) -> None:
-        k = self.w.shape[0]
-        if self.w.shape != (k, k):
-            raise ValueError("temporal weight matrix must be square")
-        if not (0 <= self.window <= max(k - 1, 0)):
+        band, window = self.band, self.window
+        if not (0 <= window <= max(band.shape[0] - 1, 0)):
             raise ValueError("window must lie in [0, K-1]")
-        if not np.isfinite(self.w).all() or (self.w < 0).any():
+        if band.shape != (band.shape[0], window):
+            raise ValueError("temporal weight band must be K x window")
+        if not np.isfinite(band).all() or (band < 0).any():
             raise ValueError("temporal weights must be nonnegative and finite")
-        if not (np.diag(self.w) == 1.0).all():
-            raise ValueError("temporal weight diagonal must be exactly 1")
-        rows, cols = np.indices(self.w.shape)
-        inadmissible = (cols > rows) | (rows - cols > self.window)
-        if self.w[inadmissible].any():
-            raise ValueError("temporal weights outside the lower band must be exactly 0")
+        if np.triu(band[:window]).any():
+            raise ValueError("temporal weights before slot 0 must be exactly 0")
 
 
 @dataclass
 class TemporalCache:
-    """Materialized temporal contractions z_hat (K x D) and e_hat (K,).
-
-    The trainer refreshes the cache once per epoch; `stale` marks a cache
-    whose source parameters have changed since it was computed.
-    """
+    """Materialized temporal contractions z_hat (K x D) and e_hat (K,),
+    refreshed by every caller from the current parameters."""
 
     z_hat: np.ndarray
     e_hat: np.ndarray
-    stale: bool = False
-
-    def mark_stale(self) -> None:
-        self.stale = True
 
 
 @dataclass
@@ -120,7 +132,7 @@ class FactorModel:
             a=self.a.copy(),
             c=self.c.copy(),
             e=self.e.copy(),
-            weights=TemporalWeights(self.weights.w.copy(), self.weights.window),
+            weights=TemporalWeights(self.weights.band.copy(), self.weights.window),
         )
 
     def validate(self) -> None:
@@ -130,8 +142,8 @@ class FactorModel:
             raise ValueError("factor matrix dimensions disagree")
         if self.a.shape != (n,) or self.c.shape != (n,) or self.e.shape != (k,):
             raise ValueError("bias vector dimensions disagree")
-        if self.weights.w.shape != (k, k):
-            raise ValueError("temporal weight matrix must be K x K")
+        if self.weights.band.shape[:1] != (k,):
+            raise ValueError("temporal weight band must have K rows")
         for name, arr in (("S", self.S), ("U", self.U), ("Z", self.Z),
                           ("a", self.a), ("c", self.c), ("e", self.e)):
             if not np.isfinite(arr).all():
@@ -143,22 +155,19 @@ class FactorModel:
 
 def band_indices(n_slots: int, window: int):
     """(k, l) index arrays of the admissible strictly-lower band, row-major
-    by k then l. This is the canonical serialization order of W."""
-    ks, ls = [], []
-    for k in range(n_slots):
-        for l in range(max(0, k - window), k):
-            ks.append(k)
-            ls.append(l)
-    return np.asarray(ks, dtype=np.intp), np.asarray(ls, dtype=np.intp)
+    by k then l. This is the canonical serialization order of W; the band
+    position of (k, l) is [k, k - l - 1]."""
+    ks, cols = np.nonzero(np.arange(n_slots)[:, None] + np.arange(window) >= window)
+    return ks, ks - window + cols
 
 
 def init_positive(n_nodes: int, n_slots: int, rank: int, window: int,
                   seed, scale: float = 0.1) -> FactorModel:
     """Draw a strictly positive model, deterministic given the seed.
 
-    Every element of S, U, Z, a, c, e is uniform on (0, scale]. W gets a
-    unit diagonal; the admissible strictly-lower band is uniform on
-    (0, scale]; everything else is 0, so window = 0 yields the identity.
+    Every element of S, U, Z, a, c, e is uniform on (0, scale]. The W band
+    is uniform on (0, scale], drawn in serialization order, so window = 0
+    yields the identity.
 
     Args:
         n_nodes: node count N.
@@ -186,27 +195,23 @@ def init_positive(n_nodes: int, n_slots: int, rank: int, window: int,
     a = positive(n_nodes)
     c = positive(n_nodes)
     e = positive(n_slots)
-    w = np.zeros((n_slots, n_slots))
-    np.fill_diagonal(w, 1.0)
+    band = np.zeros((n_slots, window))
     ks, ls = band_indices(n_slots, window)
-    if ks.size:
-        w[ks, ls] = positive(ks.size)
+    band[ks, ks - ls - 1] = positive(ks.size)
     return FactorModel(S=s, U=u, Z=z, a=a, c=c, e=e,
-                       weights=TemporalWeights(w=w, window=window))
+                       weights=TemporalWeights(band=band, window=window))
 
 
 def compute_temporal(model: FactorModel) -> TemporalCache:
     """Contract W against Z and e: z_hat[k] = sum_{l<=k} w[k,l] Z[l],
     e_hat[k] = sum_{l<=k} w[k,l] e[l]."""
-    w = model.weights.w
-    return TemporalCache(z_hat=w @ model.Z, e_hat=w @ model.e, stale=False)
+    mixed = model.weights.mix(np.column_stack((model.Z, model.e)))
+    return TemporalCache(z_hat=mixed[:, :-1], e_hat=mixed[:, -1])
 
 
 def predict_entries(model: FactorModel, cache: TemporalCache,
                     ii: np.ndarray, jj: np.ndarray, kk: np.ndarray) -> np.ndarray:
     """Vectorized predictions for parallel index arrays (ii, jj, kk)."""
-    if cache.stale:
-        raise ValueError("stale temporal cache: recompute before predicting")
     su = model.S[ii] * model.U[jj]
     return (np.einsum("nd,nd->n", su, cache.z_hat[kk])
             + model.a[ii] + model.c[jj] + cache.e_hat[kk])
@@ -263,36 +268,41 @@ def model_to_dict(model: FactorModel, hp: HyperParams) -> dict:
         "a": model.a.tolist(),
         "c": model.c.tolist(),
         "e": model.e.tolist(),
-        "W_band": model.weights.w[ks, ls].tolist() if ks.size else [],
+        "W_band": model.weights.band[ks, ks - ls - 1].tolist(),
         "lambda": float(hp.lam),
         "lambda_b": float(hp.lam_b),
     }
 
 
 def model_from_dict(doc: dict) -> tuple[FactorModel, HyperParams]:
-    n = int(doc["n_nodes"])
-    k = int(doc["n_slots"])
-    d = int(doc["rank"])
-    window = int(doc["window"])
-    w = np.zeros((k, k))
-    np.fill_diagonal(w, 1.0)
+    """Inverse of model_to_dict. Raises ValueError naming the first field
+    that is missing or malformed."""
+    if not isinstance(doc, dict):
+        raise ValueError("model document must be a JSON object")
+
+    def field(name, convert, *shape):
+        if name not in doc:
+            raise ValueError(f"model document lacks field {name!r}")
+        try:
+            return np.asarray(doc[name], convert).reshape(shape) if shape else convert(doc[name])
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"model field {name!r} is malformed: {exc}") from None
+
+    n, k, d, window = (field(name, int) for name in ("n_nodes", "n_slots", "rank", "window"))
+    e = field("e", float, k)  # bounds K by the document size before any (K, window) allocation
+    if not (0 <= window <= max(k - 1, 0)):
+        raise ValueError(f"model field 'window' must lie in [0, {max(k - 1, 0)}]")
+    values = field("W_band", float, window * (window - 1) // 2 + window * (k - window))
+    band = np.zeros((k, window))
     ks, ls = band_indices(k, window)
-    band = np.asarray(doc["W_band"], dtype=float)
-    if band.size != ks.size:
-        raise ValueError(f"W_band has {band.size} values, expected {ks.size}")
-    if ks.size:
-        w[ks, ls] = band
+    band[ks, ks - ls - 1] = values
     model = FactorModel(
-        S=np.asarray(doc["S"], dtype=float).reshape(n, d),
-        U=np.asarray(doc["U"], dtype=float).reshape(n, d),
-        Z=np.asarray(doc["Z"], dtype=float).reshape(k, d),
-        a=np.asarray(doc["a"], dtype=float),
-        c=np.asarray(doc["c"], dtype=float),
-        e=np.asarray(doc["e"], dtype=float),
-        weights=TemporalWeights(w=w, window=window),
+        S=field("S", float, n, d), U=field("U", float, n, d), Z=field("Z", float, k, d),
+        a=field("a", float, n), c=field("c", float, n), e=e,
+        weights=TemporalWeights(band=band, window=window),
     )
     model.validate()
-    return model, HyperParams(lam=float(doc["lambda"]), lam_b=float(doc["lambda_b"]))
+    return model, HyperParams(lam=field("lambda", float), lam_b=field("lambda_b", float))
 
 
 def save_model(model: FactorModel, hp: HyperParams, path, extra: dict | None = None) -> None:

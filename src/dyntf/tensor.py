@@ -30,17 +30,6 @@ class ObservedEntry(NamedTuple):
     value: float
 
 
-def _group_positions(keys: np.ndarray) -> dict[int, np.ndarray]:
-    # bucket entry positions by key; positions inside a bucket stay in entry order
-    if keys.size == 0:
-        return {}
-    order = np.argsort(keys, kind="stable")
-    sorted_keys = keys[order]
-    cuts = np.flatnonzero(np.diff(sorted_keys)) + 1
-    groups = np.split(order, cuts)
-    return {int(g_keys): grp for g_keys, grp in zip(sorted_keys[np.r_[0, cuts]], groups)}
-
-
 class SparseTensor:
     """Observed entries of an N x N x K nonnegative tensor.
 
@@ -49,9 +38,6 @@ class SparseTensor:
         n_slots: K, the temporal axis length.
         i, j, k: int64 index arrays, one element per observed entry.
         values: float64 array of interaction weights.
-        index_by_i / index_by_j / index_by_k: maps from an index to the
-            array of entry positions touching it (only indices that occur
-            appear as keys; buckets partition the entry set).
     """
 
     def __init__(self, n_nodes: int, n_slots: int, i, j, k, values):
@@ -66,9 +52,6 @@ class SparseTensor:
         if not (self.i.shape == self.j.shape == self.k.shape == self.values.shape):
             raise ValueError("index and value arrays must have equal length")
         self._validate()
-        self.index_by_i = _group_positions(self.i)
-        self.index_by_j = _group_positions(self.j)
-        self.index_by_k = _group_positions(self.k)
         for arr in (self.i, self.j, self.k, self.values):
             arr.setflags(write=False)
 
@@ -346,9 +329,8 @@ def generate_synthetic(n_nodes: int, n_slots: int, true_rank: int, density: floa
     c = rng.uniform(0.05, 0.25, size=n_nodes)
     e = rng.uniform(0.05, 0.25, size=n_slots)
 
-    w = np.eye(n_slots)
     truth = FactorModel(S=s, U=u, Z=z, a=a, c=c, e=e,
-                        weights=TemporalWeights(w=w, window=0))
+                        weights=TemporalWeights(band=np.zeros((n_slots, 0)), window=0))
 
     pos = _sample_positions(rng, total, count)
     per_node = n_nodes * n_slots

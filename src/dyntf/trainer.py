@@ -161,9 +161,18 @@ def _window_reach(counts_k: np.ndarray, window: int) -> np.ndarray:
     return csum[upper + 1] - csum[np.arange(k)]
 
 
-def _ensure_finite(name: str, arr: np.ndarray) -> None:
+def _ensure_finite(what: str, arr: np.ndarray) -> None:
     if not np.isfinite(arr).all():
-        raise DivergenceError(f"non-finite accumulator in {name} update; model diverged")
+        raise DivergenceError(f"non-finite {what}; model diverged")
+
+
+def _mu_step(name, mask, old, num, den, denom_floor):
+    # old * num / max(den, floor) where mask holds, old elsewhere
+    _ensure_finite(f"accumulator in {name} update", num)
+    _ensure_finite(f"accumulator in {name} update", den)
+    new = np.where(mask, old * num / np.maximum(den, denom_floor), old)
+    _ensure_finite(f"{name} after the update", new)
+    return new
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -189,13 +198,14 @@ def nmu_epoch(model: FactorModel, train: "SparseTensor", hp: HyperParams,
               den = sum of sum_d (x_hat * S[i,d] * U[j,d] + lam * z_hat[k,d]) * Z[l,d]
                     + (x_hat + lam_b * e_hat[k]) * e[l]
 
-    Baseline mode skips the w update. Raises DivergenceError when an
-    accumulator turns non-finite.
+    Baseline mode skips the w update. Raises DivergenceError, leaving the
+    model as it was, when an accumulator or an updated parameter group
+    turns non-finite or the updated predictions could overflow.
     """
     if train.n_entries == 0:
         return model  # nothing observed: every entry subset is empty
-    w = model.weights.w
-    window = model.weights.window
+    weights = model.weights
+    window = weights.window
     n, n_slots = model.n_nodes, model.n_slots
     cache = compute_temporal(model)
     sums = _epoch_sums(model, cache, train, threads)
@@ -209,48 +219,45 @@ def nmu_epoch(model: FactorModel, train: "SparseTensor", hp: HyperParams,
     den_u = sums["den_u"] + lam * model.U * counts_j[:, None]
     den_a = sums["den_a"] + lam_b * model.a * counts_i
     den_c = sums["den_c"] + lam_b * model.c * counts_j
-    g_den = sums["g_den"] + lam * cache.z_hat * counts_k[:, None]
-    h_den = sums["h_den"] + lam_b * cache.e_hat * counts_k
-
-    num_z = w.T @ sums["g_num"]
-    den_z = w.T @ g_den
-    num_e = w.T @ sums["h_num"]
-    den_e = w.T @ h_den
-
-    for name, num, den in (("S", sums["num_s"], den_s), ("U", sums["num_u"], den_u),
-                           ("Z", num_z, den_z), ("a", sums["num_a"], den_a),
-                           ("c", sums["num_c"], den_c), ("e", num_e, den_e)):
-        _ensure_finite(name, num)
-        _ensure_finite(name, den)
+    # per-slot sums of the [Z | e] numerators (index 0) and denominators
+    # (index 1), K x 2 x (D + 1); W.T carries them back to the slots they mix
+    slot = np.stack((np.column_stack((sums["g_num"], sums["h_num"])),
+                     np.column_stack((sums["g_den"] + lam * cache.z_hat * counts_k[:, None],
+                                      sums["h_den"] + lam_b * cache.e_hat * counts_k))),
+                    axis=1)
+    back = weights.mix(slot, transpose=True)
 
     has_i = counts_i > 0
     has_j = counts_j > 0
     reach = _window_reach(counts_k, window) > 0
+    new = {
+        "S": _mu_step("S", has_i[:, None], model.S, sums["num_s"], den_s, denom_floor),
+        "U": _mu_step("U", has_j[:, None], model.U, sums["num_u"], den_u, denom_floor),
+        "Z": _mu_step("Z", reach[:, None], model.Z, back[:, 0, :-1], back[:, 1, :-1], denom_floor),
+        "a": _mu_step("a", has_i, model.a, sums["num_a"], den_a, denom_floor),
+        "c": _mu_step("c", has_j, model.c, sums["num_c"], den_c, denom_floor),
+        "e": _mu_step("e", reach, model.e, back[:, 0, -1], back[:, 1, -1], denom_floor),
+    }
 
-    new_s = np.where(has_i[:, None], model.S * sums["num_s"] / np.maximum(den_s, denom_floor), model.S)
-    new_u = np.where(has_j[:, None], model.U * sums["num_u"] / np.maximum(den_u, denom_floor), model.U)
-    new_a = np.where(has_i, model.a * sums["num_a"] / np.maximum(den_a, denom_floor), model.a)
-    new_c = np.where(has_j, model.c * sums["num_c"] / np.maximum(den_c, denom_floor), model.c)
-    new_z = np.where(reach[:, None], model.Z * num_z / np.maximum(den_z, denom_floor), model.Z)
-    new_e = np.where(reach, model.e * num_e / np.maximum(den_e, denom_floor), model.e)
-
+    new_band = weights.band
     if mode == "att" and window > 0:
-        num_w = sums["g_num"] @ model.Z.T + np.outer(sums["h_num"], model.e)
-        den_w = g_den @ model.Z.T + np.outer(h_den, model.e)
-        _ensure_finite("W", num_w)
-        _ensure_finite("W", den_w)
-        rows, cols = np.indices(w.shape)
-        band = (cols < rows) & (rows - cols <= window) & (counts_k[:, None] > 0)
-        new_w = w.copy()
-        new_w[band] = w[band] * num_w[band] / np.maximum(den_w[band], denom_floor)
-        model.weights.w = new_w
+        # lag m pairs slot k's sums with [Z | e][k - m]; rows k < m stay 0
+        ze = np.column_stack((model.Z, model.e))
+        acc = np.zeros((n_slots, 2, window))
+        for m in range(1, window + 1):
+            acc[m:, :, m - 1] = np.einsum("ksd,kd->ks", slot[m:], ze[:-m])
+        new_band = _mu_step("W", (counts_k > 0)[:, None], new_band, acc[:, 0], acc[:, 1],
+                            denom_floor)
 
-    model.S = new_s
-    model.U = new_u
-    model.Z = new_z
-    model.a = new_a
-    model.c = new_c
-    model.e = new_e
+    # nonnegative factors: this bounds every prediction of the updated model
+    w_row = 1.0 + new_band.sum(axis=1).max()  # largest row sum of W
+    peak = (model.rank * new["S"].max() * new["U"].max() * new["Z"].max() * w_row
+            + new["a"].max() + new["c"].max() + new["e"].max() * w_row)
+    _ensure_finite("prediction bound after the update", peak)
+
+    for name, arr in new.items():
+        setattr(model, name, arr)
+    weights.band = new_band
     return model
 
 
@@ -328,36 +335,35 @@ def analytic_gradient(model: FactorModel, entries, hp: HyperParams, coordinate) 
     preds = predict_entries(model, cache, entries.i, entries.j, entries.k)
     resid = preds - entries.values  # d(eps)/d(x_hat) direction
     lam, lam_b = hp.lam, hp.lam_b
-    empty = np.empty(0, dtype=np.intp)
 
     if kind == "s":
         _, i, d = coordinate
         _check_index(i, n, "node"), _check_index(d, rank, "rank")
-        pos = entries.index_by_i.get(i, empty)
+        pos = np.flatnonzero(entries.i == i)
         terms = resid[pos] * model.U[entries.j[pos], d] * cache.z_hat[entries.k[pos], d]
         return float(np.sum(terms) + lam * model.S[i, d] * pos.size)
     if kind == "u":
         _, j, d = coordinate
         _check_index(j, n, "node"), _check_index(d, rank, "rank")
-        pos = entries.index_by_j.get(j, empty)
+        pos = np.flatnonzero(entries.j == j)
         terms = resid[pos] * model.S[entries.i[pos], d] * cache.z_hat[entries.k[pos], d]
         return float(np.sum(terms) + lam * model.U[j, d] * pos.size)
     if kind == "a":
         _, i = coordinate
         _check_index(i, n, "node")
-        pos = entries.index_by_i.get(i, empty)
+        pos = np.flatnonzero(entries.i == i)
         return float(np.sum(resid[pos]) + lam_b * model.a[i] * pos.size)
     if kind == "c":
         _, j = coordinate
         _check_index(j, n, "node")
-        pos = entries.index_by_j.get(j, empty)
+        pos = np.flatnonzero(entries.j == j)
         return float(np.sum(resid[pos]) + lam_b * model.c[j] * pos.size)
     if kind == "z":
         _, l, d = coordinate
         _check_index(l, n_slots, "slot"), _check_index(d, rank, "rank")
         out = 0.0
         for k in range(l, min(l + window, n_slots - 1) + 1):
-            pos = entries.index_by_k.get(k, empty)
+            pos = np.flatnonzero(entries.k == k)
             inner = (resid[pos] * model.S[entries.i[pos], d] * model.U[entries.j[pos], d]
                      + lam * cache.z_hat[k, d])
             out += w[k, l] * float(np.sum(inner))
@@ -367,7 +373,7 @@ def analytic_gradient(model: FactorModel, entries, hp: HyperParams, coordinate) 
         _check_index(l, n_slots, "slot")
         out = 0.0
         for k in range(l, min(l + window, n_slots - 1) + 1):
-            pos = entries.index_by_k.get(k, empty)
+            pos = np.flatnonzero(entries.k == k)
             out += w[k, l] * float(np.sum(resid[pos] + lam_b * cache.e_hat[k]))
         return out
     if kind == "w":
@@ -375,7 +381,7 @@ def analytic_gradient(model: FactorModel, entries, hp: HyperParams, coordinate) 
         _check_index(k, n_slots, "slot"), _check_index(l, n_slots, "slot")
         if l >= k or k - l > window:
             raise ValueError(f"inadmissible temporal weight coordinate (k={k}, l={l})")
-        pos = entries.index_by_k.get(k, empty)
+        pos = np.flatnonzero(entries.k == k)
         feat = (resid[pos, None] * model.S[entries.i[pos]] * model.U[entries.j[pos]]
                 + lam * cache.z_hat[k]) @ model.Z[l]
         bias = (resid[pos] + lam_b * cache.e_hat[k]) * model.e[l]

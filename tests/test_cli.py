@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -191,7 +192,7 @@ class TestPredict:
         m = dyntf.FactorModel(
             S=np.zeros((3, 1)), U=np.zeros((3, 1)), Z=np.zeros((2, 1)),
             a=np.full(3, 1.0), c=np.full(3, 2.0), e=np.full(2, 3.0),
-            weights=dyntf.TemporalWeights(w=np.eye(2), window=0))
+            weights=dyntf.TemporalWeights(band=np.zeros((2, 0)), window=0))
         path = tmp_path / "m.json"
         dyntf.save_model(m, dyntf.HyperParams(0.0, 0.0), path)
         assert run("predict", "--model", path, "--i", 0, "--j", 1, "--k", 0) == 0
@@ -214,6 +215,40 @@ class TestPredict:
         assert run("predict", "--model", tmp_path / "m.json",
                    "--i", 0, "--j", 0, "--k", 7) == 3
         assert "out of range" in capsys.readouterr().err
+
+
+class TestModelSchema:
+    def _predict(self, path):
+        return run("predict", "--model", path, "--i", 0, "--j", 0, "--k", 0)
+
+    def test_top_level_list_is_data_error(self, tmp_path, capsys):
+        path = tmp_path / "m.json"
+        path.write_text("[1, 2, 3]\n")
+        assert self._predict(path) == 3
+        assert "JSON object" in capsys.readouterr().err
+
+    def test_missing_field_is_named(self, tmp_path, capsys):
+        m = dyntf.init_positive(3, 2, 1, 1, seed=0)
+        doc = dyntf.model_to_dict(m, dyntf.HyperParams(0.0, 0.0))
+        del doc["Z"]
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps(doc))
+        assert self._predict(path) == 3
+        assert "'Z'" in capsys.readouterr().err
+
+
+def test_overflowing_values_diverge_in_first_epoch(tmp_path, capsys):
+    # the first update stays finite (about 1e299) but its products overflow
+    data = tmp_path / "big.coo"
+    data.write_text("%dims 3 3 2\n0 1 0 1e300\n1 2 1 1e300\n2 0 0 1e300\n"
+                    "0 2 1 1e300\n1 1 0 1e300\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert run("train", "--train", data, "--val", data, "--rank", 2,
+                   "--lambda", 0.01, "--lambda-b", 0.01, "--max-epochs", 5,
+                   "--out", tmp_path / "m.json", "--report", tmp_path / "r.json") == 4
+    err = capsys.readouterr().err
+    assert "diverged" in err and "RuntimeWarning" not in err
 
 
 def test_strict_sequential_reruns_byte_identical(workspace):

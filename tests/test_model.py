@@ -13,40 +13,60 @@ def _bias_only(n=3, k=2, a=1.0, c=2.0, e=3.0):
     zeros = np.zeros((n, 1))
     return FactorModel(S=zeros.copy(), U=zeros.copy(), Z=np.zeros((k, 1)),
                        a=np.full(n, a), c=np.full(n, c), e=np.full(k, e),
-                       weights=TemporalWeights(w=np.eye(k), window=0))
+                       weights=TemporalWeights(band=np.zeros((k, 0)), window=0))
 
 
 class TestTemporalWeights:
+    # the band stores only the lags, so the unit diagonal and the zeros
+    # outside the band are implied; the dense view must show them exactly
+
     def test_identity_is_valid(self):
-        TemporalWeights(w=np.eye(4), window=0).validate()
+        weights = TemporalWeights(band=np.zeros((4, 0)), window=0)
+        weights.validate()
+        assert np.array_equal(weights.w, np.eye(4))
 
     def test_diagonal_must_be_one(self):
-        w = np.eye(3)
-        w[1, 1] = 0.999999999
-        with pytest.raises(ValueError, match="diagonal"):
-            TemporalWeights(w=w, window=0).validate()
+        w = init_positive(2, 5, 1, 2, seed=3).weights.w
+        assert (np.diag(w) == 1.0).all()
 
     def test_upper_triangle_must_be_zero(self):
-        w = np.eye(3)
-        w[0, 2] = 0.1
-        with pytest.raises(ValueError):
-            TemporalWeights(w=w, window=2).validate()
+        w = init_positive(2, 5, 1, 2, seed=3).weights.w
+        assert not np.triu(w, 1).any()
 
     def test_band_limit_enforced(self):
-        w = np.eye(4)
-        w[3, 0] = 0.1  # depth 3 > window 2
-        with pytest.raises(ValueError):
-            TemporalWeights(w=w, window=2).validate()
+        w = init_positive(2, 5, 1, 2, seed=3).weights.w
+        assert not np.tril(w, -3).any()  # depth 3 > window 2
+        with pytest.raises(ValueError, match="K x window"):
+            TemporalWeights(band=np.zeros((4, 3)), window=2).validate()
 
     def test_negative_weight_rejected(self):
-        w = np.eye(3)
-        w[1, 0] = -0.5
+        band = np.zeros((3, 2))
+        band[1, 0] = -0.5
         with pytest.raises(ValueError):
-            TemporalWeights(w=w, window=2).validate()
+            TemporalWeights(band=band, window=2).validate()
 
     def test_window_range(self):
         with pytest.raises(ValueError):
-            TemporalWeights(w=np.eye(3), window=3).validate()
+            TemporalWeights(band=np.zeros((3, 3)), window=3).validate()
+
+    def test_band_before_slot_zero_must_be_zero(self):
+        band = np.zeros((4, 2))
+        band[1, 1] = 0.1  # lag 2 of slot 1 would be slot -1
+        with pytest.raises(ValueError, match="before slot 0"):
+            TemporalWeights(band=band, window=2).validate()
+
+    def test_dense_view_places_lags(self):
+        band = np.array([[0, 0], [0.1, 0], [0.2, 0.3], [0.4, 0.5]])
+        w = TemporalWeights(band=band, window=2).w
+        expected = np.eye(4)
+        expected[1, 0], expected[2, 1], expected[2, 0] = 0.1, 0.2, 0.3
+        expected[3, 2], expected[3, 1] = 0.4, 0.5
+        assert np.array_equal(w, expected)
+
+    def test_dense_view_is_read_only(self):
+        weights = init_positive(3, 4, 1, 2, seed=0).weights
+        with pytest.raises(ValueError, match="read-only"):
+            weights.w[1, 0] += 1.0
 
 
 def test_band_indices_row_major():
@@ -101,22 +121,21 @@ class TestComputeTemporal:
         cache = compute_temporal(m)
         assert np.array_equal(cache.z_hat, m.Z)
         assert np.array_equal(cache.e_hat, m.e)
-        assert not cache.stale
 
     def test_hand_mixing(self):
-        w = np.array([[1.0, 0.0], [0.5, 1.0]])
+        band = np.array([[0.0], [0.5]])  # w[1, 0] = 0.5
         m = FactorModel(S=np.ones((1, 1)), U=np.ones((1, 1)),
                         Z=np.array([[2.0], [4.0]]), a=np.zeros(1),
                         c=np.zeros(1), e=np.zeros(2),
-                        weights=TemporalWeights(w=w, window=1))
+                        weights=TemporalWeights(band=band, window=1))
         cache = compute_temporal(m)
         assert np.array_equal(cache.z_hat, np.array([[2.0], [5.0]]))
 
     def test_full_lower_ones_accumulate_bias(self):
-        w = np.tril(np.ones((3, 3)))
+        band = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0]])  # full lower ones
         m = FactorModel(S=np.ones((1, 1)), U=np.ones((1, 1)),
                         Z=np.ones((3, 1)), a=np.zeros(1), c=np.zeros(1),
-                        e=np.ones(3), weights=TemporalWeights(w=w, window=2))
+                        e=np.ones(3), weights=TemporalWeights(band=band, window=2))
         cache = compute_temporal(m)
         assert np.array_equal(cache.e_hat, np.array([1.0, 2.0, 3.0]))
 
@@ -131,7 +150,7 @@ class TestPredict:
     def test_rank_one_product(self):
         m = FactorModel(S=np.array([[2.0]]), U=np.array([[3.0]]),
                         Z=np.array([[1.0]]), a=np.zeros(1), c=np.zeros(1),
-                        e=np.zeros(1), weights=TemporalWeights(w=np.eye(1), window=0))
+                        e=np.zeros(1), weights=TemporalWeights(band=np.zeros((1, 0)), window=0))
         assert predict(m, compute_temporal(m), 0, 0, 0) == 6.0
 
     def test_doubling_sender_row_doubles_feature_term(self):
@@ -144,13 +163,6 @@ class TestPredict:
         doubled.S[1] *= 2.0
         got = predict(doubled, compute_temporal(doubled), 1, 2, 1)
         assert got == pytest.approx(bias + 2.0 * (base - bias), rel=1e-12)
-
-    def test_stale_cache_rejected(self):
-        m = init_positive(3, 2, 1, 0, seed=0)
-        cache = compute_temporal(m)
-        cache.mark_stale()
-        with pytest.raises(ValueError, match="stale"):
-            predict(m, cache, 0, 0, 0)
 
     def test_out_of_range_index(self):
         m = init_positive(3, 2, 1, 0, seed=0)
@@ -185,7 +197,7 @@ class TestObjective:
         # perfect fit with all parameters 1: prediction 1*1*1 + 1+1+1 = 4
         m = FactorModel(S=np.ones((1, 1)), U=np.ones((1, 1)), Z=np.ones((1, 1)),
                         a=np.ones(1), c=np.ones(1), e=np.ones(1),
-                        weights=TemporalWeights(w=np.eye(1), window=0))
+                        weights=TemporalWeights(band=np.zeros((1, 0)), window=0))
         t = dyntf.SparseTensor(1, 1, [0], [0], [0], [4.0])
         got = objective(m, t, HyperParams(0.1, 0.1))
         assert got == pytest.approx(0.3, rel=1e-15)
@@ -219,7 +231,8 @@ class TestSerialization:
 
     def test_band_serialized_in_row_major_order(self):
         m = init_positive(2, 3, 1, 2, seed=4)
-        m.weights.w[1, 0], m.weights.w[2, 0], m.weights.w[2, 1] = 0.25, 0.5, 0.75
+        # band[k, m - 1] = w[k, k - m]: w[1,0], w[2,1], w[2,0]
+        m.weights.band[1, 0], m.weights.band[2, 0], m.weights.band[2, 1] = 0.25, 0.75, 0.5
         doc = model_to_dict(m, HyperParams(0.0, 0.0))
         assert doc["W_band"] == [0.25, 0.5, 0.75]
         assert doc["window"] == 2
@@ -240,6 +253,12 @@ class TestSerialization:
         with pytest.raises(ValueError):
             model_from_dict(doc)
 
+    def test_out_of_range_window_rejected_before_allocating(self):
+        doc = model_to_dict(init_positive(3, 2, 2, 1, seed=6), HyperParams(0.0, 0.0))
+        doc["window"] = 10**12  # a (K, window) band this wide cannot be allocated
+        with pytest.raises(ValueError, match="window"):
+            model_from_dict(doc)
+
     def test_extra_block_preserved_on_disk(self, tmp_path):
         m = init_positive(3, 2, 1, 0, seed=1)
         path = tmp_path / "m.json"
@@ -254,7 +273,7 @@ def test_copy_is_deep():
     m = init_positive(4, 3, 2, 2, seed=9)
     dup = m.copy()
     dup.S[0, 0] = 99.0
-    dup.weights.w[1, 0] = 0.123
+    dup.weights.band[1, 0] = 0.123
     assert m.S[0, 0] != 99.0
     assert m.weights.w[1, 0] != 0.123
 

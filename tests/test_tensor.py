@@ -80,15 +80,6 @@ def test_round_trip_exact(tmp_path, small_tensor):
     assert np.array_equal(back.values, t.values)
 
 
-def test_index_maps_partition_entries(small_tensor):
-    t = small_tensor
-    for attr, axis in (("index_by_i", t.i), ("index_by_j", t.j), ("index_by_k", t.k)):
-        buckets = getattr(t, attr)
-        assert sum(len(p) for p in buckets.values()) == t.n_entries
-        for key, positions in buckets.items():
-            assert (axis[positions] == key).all()
-
-
 def test_tensor_arrays_read_only(small_tensor):
     with pytest.raises(ValueError):
         small_tensor.values[0] = 9.0

@@ -12,7 +12,7 @@ from dyntf import (DivergenceError, FactorModel, HyperParams, SparseTensor,
 def _single_entry_model(value=2.0):
     m = FactorModel(S=np.ones((1, 1)), U=np.ones((1, 1)), Z=np.ones((1, 1)),
                     a=np.zeros(1), c=np.zeros(1), e=np.zeros(1),
-                    weights=TemporalWeights(w=np.eye(1), window=0))
+                    weights=TemporalWeights(band=np.zeros((1, 0)), window=0))
     t = SparseTensor(1, 1, [0], [0], [0], [value])
     return m, t
 
@@ -196,7 +196,7 @@ def _perturbed(model: FactorModel, coord, delta: float) -> FactorModel:
     elif kind == "e":
         m.e[coord[1]] += delta
     elif kind == "w":
-        m.weights.w[coord[1], coord[2]] += delta
+        m.weights.band[coord[1], coord[1] - coord[2] - 1] += delta
     else:
         raise ValueError(kind)
     return m
