@@ -7,5 +7,5 @@ class DataError(Exception):
 
 
 class DivergenceError(Exception):
-    """Training produced a non-finite accumulator or parameter, or a model
-    whose predictions could overflow; the model has diverged."""
+    """Training produced a non-finite accumulator, parameter or validation
+    score, or a model whose predictions could overflow; it has diverged."""

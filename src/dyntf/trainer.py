@@ -6,7 +6,7 @@ snapshot, then all parameters are replaced at once. For a parameter theta
 with gradient written as (denominator terms) - (numerator terms), the
 learning rate theta / denominator turns the additive step into
 
-    theta <- theta * numerator / max(denominator, denom_floor)
+    theta <- theta * numerator / max(denominator, DENOM_FLOOR)
 
 which preserves nonnegativity. Parameters touched by no observed entry
 keep their value.
@@ -15,6 +15,9 @@ The accumulation is a reduction over observed entries. Entries are
 processed in fixed-size chunks whose partial sums are combined in chunk
 order, so the result is bit-identical whether chunks run on one thread or
 several; `threads` only controls how many chunks are in flight.
+
+`train` and the tuner's `adapt_train` are steps of one epoch loop,
+`_run_epochs`, which records the scores, stops and builds the report.
 """
 
 from __future__ import annotations
@@ -29,6 +32,7 @@ from .metrics import MetricSeries, convergence_rounds, mae, rmse
 from .model import FactorModel, HyperParams, compute_temporal, predict_entries
 
 _CHUNK = 32768
+DENOM_FLOOR = 1e-12  # smallest denominator a multiplicative step divides by
 
 
 @dataclass
@@ -43,7 +47,6 @@ class TrainConfig:
     max_epochs: int = 1000
     tolerance: float = 1e-5
     mode: str = "att"
-    denom_floor: float = 1e-12
 
     def __post_init__(self):
         if self.max_epochs < 1:
@@ -52,8 +55,6 @@ class TrainConfig:
             raise ValueError("tolerance must be nonnegative")
         if self.mode not in ("att", "baseline"):
             raise ValueError("mode must be 'att' or 'baseline'")
-        if self.denom_floor <= 0:
-            raise ValueError("denom_floor must be positive")
 
 
 @dataclass
@@ -61,8 +62,9 @@ class TrainReport:
     """Per-epoch validation trace and termination bookkeeping.
 
     cr_rmse / cr_mae are the first epochs at which the consecutive RMSE /
-    MAE change drops below the tolerance. The tuner fills the last four
-    fields; fixed-hyperparameter runs leave them None.
+    MAE change drops below the tolerance. Adaptive runs fill `tuner` with
+    the swarm's population and best rule; their chosen lambdas are
+    final_hp.
     """
 
     epochs_run: int
@@ -73,12 +75,11 @@ class TrainReport:
     cr_mae: int
     termination: str
     final_hp: HyperParams
-    best_lambda: float | None = None
-    best_lambda_b: float | None = None
-    population: int | None = None
-    best_rule: str | None = None
+    tuner: dict | None = None
 
     def to_dict(self) -> dict:
+        lambdas = {"lambda": float(self.final_hp.lam),
+                   "lambda_b": float(self.final_hp.lam_b)}
         doc = {
             "epochs_run": self.epochs_run,
             "per_epoch_rmse": [float(v) for v in self.per_epoch_rmse],
@@ -87,14 +88,12 @@ class TrainReport:
             "cr_rmse": self.cr_rmse,
             "cr_mae": self.cr_mae,
             "termination": self.termination,
-            "final_hp": {"lambda": float(self.final_hp.lam),
-                         "lambda_b": float(self.final_hp.lam_b)},
+            "final_hp": lambdas,
         }
-        if self.population is not None:
-            doc["best_lambda"] = float(self.best_lambda)
-            doc["best_lambda_b"] = float(self.best_lambda_b)
-            doc["population"] = self.population
-            doc["best_rule"] = self.best_rule
+        if self.tuner is not None:
+            doc["best_lambda"] = lambdas["lambda"]
+            doc["best_lambda_b"] = lambdas["lambda_b"]
+            doc.update(self.tuner)
         return doc
 
 
@@ -166,18 +165,18 @@ def _ensure_finite(what: str, arr: np.ndarray) -> None:
         raise DivergenceError(f"non-finite {what}; model diverged")
 
 
-def _mu_step(name, mask, old, num, den, denom_floor):
+def _mu_step(name, mask, old, num, den):
     # old * num / max(den, floor) where mask holds, old elsewhere
     _ensure_finite(f"accumulator in {name} update", num)
     _ensure_finite(f"accumulator in {name} update", den)
-    new = np.where(mask, old * num / np.maximum(den, denom_floor), old)
+    new = np.where(mask, old * num / np.maximum(den, DENOM_FLOOR), old)
     _ensure_finite(f"{name} after the update", new)
     return new
 
 
 @np.errstate(over="ignore", invalid="ignore")
 def nmu_epoch(model: FactorModel, train: "SparseTensor", hp: HyperParams,
-              mode: str = "att", denom_floor: float = 1e-12, threads: int = 1) -> FactorModel:
+              mode: str = "att", threads: int = 1) -> FactorModel:
     """Run one full multiplicative update in place and return the model.
 
     Accumulator forms, all from the epoch-start snapshot with x_hat the
@@ -231,12 +230,12 @@ def nmu_epoch(model: FactorModel, train: "SparseTensor", hp: HyperParams,
     has_j = counts_j > 0
     reach = _window_reach(counts_k, window) > 0
     new = {
-        "S": _mu_step("S", has_i[:, None], model.S, sums["num_s"], den_s, denom_floor),
-        "U": _mu_step("U", has_j[:, None], model.U, sums["num_u"], den_u, denom_floor),
-        "Z": _mu_step("Z", reach[:, None], model.Z, back[:, 0, :-1], back[:, 1, :-1], denom_floor),
-        "a": _mu_step("a", has_i, model.a, sums["num_a"], den_a, denom_floor),
-        "c": _mu_step("c", has_j, model.c, sums["num_c"], den_c, denom_floor),
-        "e": _mu_step("e", reach, model.e, back[:, 0, -1], back[:, 1, -1], denom_floor),
+        "S": _mu_step("S", has_i[:, None], model.S, sums["num_s"], den_s),
+        "U": _mu_step("U", has_j[:, None], model.U, sums["num_u"], den_u),
+        "Z": _mu_step("Z", reach[:, None], model.Z, back[:, 0, :-1], back[:, 1, :-1]),
+        "a": _mu_step("a", has_i, model.a, sums["num_a"], den_a),
+        "c": _mu_step("c", has_j, model.c, sums["num_c"], den_c),
+        "e": _mu_step("e", reach, model.e, back[:, 0, -1], back[:, 1, -1]),
     }
 
     new_band = weights.band
@@ -246,8 +245,7 @@ def nmu_epoch(model: FactorModel, train: "SparseTensor", hp: HyperParams,
         acc = np.zeros((n_slots, 2, window))
         for m in range(1, window + 1):
             acc[m:, :, m - 1] = np.einsum("ksd,kd->ks", slot[m:], ze[:-m])
-        new_band = _mu_step("W", (counts_k > 0)[:, None], new_band, acc[:, 0], acc[:, 1],
-                            denom_floor)
+        new_band = _mu_step("W", (counts_k > 0)[:, None], new_band, acc[:, 0], acc[:, 1])
 
     # nonnegative factors: this bounds every prediction of the updated model
     w_row = 1.0 + new_band.sum(axis=1).max()  # largest row sum of W
@@ -262,13 +260,55 @@ def nmu_epoch(model: FactorModel, train: "SparseTensor", hp: HyperParams,
 
 
 def validation_metrics(model: FactorModel, validation) -> tuple[float, float, float]:
-    """(rmse, mae, h) of the model on a held-out entry set."""
-    cache = compute_temporal(model)
-    preds = predict_entries(model, cache, validation.i, validation.j, validation.k)
-    pairs = np.column_stack((validation.values, preds))
-    r = rmse(pairs)
-    m = mae(pairs)
+    """(rmse, mae, h) of the model on a held-out entry set; a score that
+    overflows is inf, without a warning, and the epoch loop calls it
+    divergence."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        cache = compute_temporal(model)
+        preds = predict_entries(model, cache, validation.i, validation.j, validation.k)
+        pairs = np.column_stack((validation.values, preds))
+        r = rmse(pairs)
+        m = mae(pairs)
     return r, m, (r + m) / 2.0
+
+
+def _run_epochs(step, cap, tolerance, final_hp, tuner=None) -> TrainReport:
+    """The epoch loop shared by train and adapt_train.
+
+    step() runs one epoch and returns (rmse, mae, h, h_watched): the
+    validation scores to record and the H whose change is tested. The
+    loop stops at the first epoch t >= 2 with |h_watched_t -
+    h_watched_{t-1}| < tolerance, or after `cap` epochs. A DivergenceError
+    from the step, or a non-finite score, is raised again with "epoch t: "
+    in front. final_hp() gives the report's hyperparameters at the end.
+    """
+    traces = ([], [], [])  # rmse, mae, h
+    termination = "max_epochs"
+    watched_prev = None
+    for epoch in range(1, cap + 1):
+        try:
+            *scores, watched = step()
+            _ensure_finite("validation score", np.array(scores))
+        except DivergenceError as exc:
+            raise DivergenceError(f"epoch {epoch}: {exc}") from exc
+        for trace, value in zip(traces, scores):
+            trace.append(value)
+        if watched_prev is not None and abs(watched - watched_prev) < tolerance:
+            termination = "tolerance"
+            break
+        watched_prev = watched
+    rmse_trace, mae_trace, h_trace = traces
+    return TrainReport(
+        epochs_run=len(h_trace),
+        per_epoch_rmse=rmse_trace,
+        per_epoch_mae=mae_trace,
+        per_epoch_h=h_trace,
+        cr_rmse=convergence_rounds(MetricSeries(rmse_trace, tolerance)),
+        cr_mae=convergence_rounds(MetricSeries(mae_trace, tolerance)),
+        termination=termination,
+        final_hp=final_hp(),
+        tuner=tuner,
+    )
 
 
 def train(model: FactorModel, train_set, validation, hp: HyperParams,
@@ -281,37 +321,19 @@ def train(model: FactorModel, train_set, validation, hp: HyperParams,
 
     Returns:
         (trained model, report). The report's termination field is
-        "tolerance" or "max_epochs".
+        "tolerance" or "max_epochs". A DivergenceError names its epoch.
     """
     if validation.n_entries == 0:
         raise ValueError("empty validation set")
     model.validate()
     work = model.copy()
-    rmse_trace: list[float] = []
-    mae_trace: list[float] = []
-    h_trace: list[float] = []
-    termination = "max_epochs"
-    for epoch in range(1, config.max_epochs + 1):
-        nmu_epoch(work, train_set, hp, mode=config.mode,
-                  denom_floor=config.denom_floor, threads=threads)
+
+    def step():
+        nmu_epoch(work, train_set, hp, mode=config.mode, threads=threads)
         r, m, h = validation_metrics(work, validation)
-        rmse_trace.append(r)
-        mae_trace.append(m)
-        h_trace.append(h)
-        if epoch >= 2 and abs(h_trace[-1] - h_trace[-2]) < config.tolerance:
-            termination = "tolerance"
-            break
-    report = TrainReport(
-        epochs_run=len(h_trace),
-        per_epoch_rmse=rmse_trace,
-        per_epoch_mae=mae_trace,
-        per_epoch_h=h_trace,
-        cr_rmse=convergence_rounds(MetricSeries(rmse_trace, config.tolerance)),
-        cr_mae=convergence_rounds(MetricSeries(mae_trace, config.tolerance)),
-        termination=termination,
-        final_hp=hp,
-    )
-    return work, report
+        return r, m, h, h
+
+    return work, _run_epochs(step, config.max_epochs, config.tolerance, lambda: hp)
 
 
 def analytic_gradient(model: FactorModel, entries, hp: HyperParams, coordinate) -> float:

@@ -26,6 +26,9 @@ that iteration falls back to argmin_h.
 RNG is split into one stream per individual derived from the master
 seed, so concurrent and sequential evaluation schedules draw identical
 values.
+
+An iteration is one step of the trainer's epoch loop (`_run_epochs`),
+which records the iteration-best scores, stops and builds the report.
 """
 
 from __future__ import annotations
@@ -36,9 +39,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .metrics import MetricSeries, convergence_rounds
 from .model import FactorModel, HyperParams
-from .trainer import TrainConfig, TrainReport, nmu_epoch, validation_metrics
+from .trainer import TrainConfig, TrainReport, _run_epochs, nmu_epoch, validation_metrics
 
 
 @dataclass
@@ -145,15 +147,13 @@ def crossover(previous: np.ndarray, mutant: np.ndarray, config: DEAConfig,
 
 
 def evaluate_individual(individual: Individual, train, validation,
-                        mode: str = "att", denom_floor: float = 1e-12,
-                        threads: int = 1) -> float:
+                        mode: str = "att") -> float:
     """One epoch on the individual's private model, then validation H.
 
     Stores h_current (and the underlying rmse/mae) on the individual and
     returns H.
     """
-    nmu_epoch(individual.model, train, individual.hyperparams(),
-              mode=mode, denom_floor=denom_floor, threads=threads)
+    nmu_epoch(individual.model, train, individual.hyperparams(), mode=mode)
     r, m, h = validation_metrics(individual.model, validation)
     individual.rmse_current = r
     individual.mae_current = m
@@ -213,7 +213,8 @@ def adapt_train(template: FactorModel, train, validation, dea: DEAConfig,
     The returned model is the replica of the lowest-H individual; the
     report's final_hp echoes tau, and its per-epoch series track the
     iteration-best individual. `on_iteration(swarm)` runs after each
-    tau update, for callers that want to watch the swarm.
+    tau update, for callers that want to watch the swarm. A
+    DivergenceError names the iteration it happened in.
 
     Args:
         template: starting parameters, copied into each individual.
@@ -228,70 +229,40 @@ def adapt_train(template: FactorModel, train, validation, dea: DEAConfig,
     # last-individual H on the first fitness evaluation
     _, _, h_last = validation_metrics(template, validation)
 
-    cap = min(dea.max_iterations, tc.max_epochs)
-    rmse_trace: list[float] = []
-    mae_trace: list[float] = []
-    h_trace: list[float] = []
-    termination = "max_epochs"
-    h_best_prev: float | None = None
-    for t in range(1, cap + 1):
-        swarm.iteration = t
+    def step():
+        nonlocal h_last
+        swarm.iteration += 1
         if threads > 1:
             with ThreadPoolExecutor(max_workers=threads) as pool:
-                list(pool.map(
-                    lambda ind: evaluate_individual(ind, train, validation,
-                                                    mode=tc.mode,
-                                                    denom_floor=tc.denom_floor),
-                    swarm.individuals))
+                list(pool.map(lambda ind: evaluate_individual(ind, train, validation,
+                                                              mode=tc.mode),
+                              swarm.individuals))
         else:
             for ind in swarm.individuals:
-                evaluate_individual(ind, train, validation, mode=tc.mode,
-                                    denom_floor=tc.denom_floor)
+                evaluate_individual(ind, train, validation, mode=tc.mode)
         h_values = [ind.h_current for ind in swarm.individuals]
 
         # next-iteration vectors come from the evaluated population snapshot
-        trials = []
-        for p, ind in enumerate(swarm.individuals):
-            mutant = mutate_and_bound(swarm, p, dea)
-            trials.append(crossover(ind.v, mutant, dea, ind.rng))
-
+        trials = [crossover(ind.v, mutate_and_bound(swarm, p, dea), dea, ind.rng)
+                  for p, ind in enumerate(swarm.individuals)]
         if dea.best_rule == "paper_f":
             fit = paper_fitness(h_values, h_last)
             for p, ind in enumerate(swarm.individuals):
                 ind.fitness = None if fit is None else float(fit[p])
         update_best(swarm, dea)
-
-        best_idx = int(np.argmin(h_values))
-        rmse_trace.append(swarm.individuals[best_idx].rmse_current)
-        mae_trace.append(swarm.individuals[best_idx].mae_current)
-        h_trace.append(h_values[best_idx])
-        h_best = h_values[best_idx] if dea.best_rule == "argmin_h" else swarm.tau_h
-
         if on_iteration is not None:
             on_iteration(swarm)
 
-        if h_best_prev is not None and abs(h_best - h_best_prev) < tc.tolerance:
-            termination = "tolerance"
-            break
-        h_best_prev = h_best
-        h_last = h_values[-1]
         for ind, trial in zip(swarm.individuals, trials):
             ind.v = trial
+        h_last = h_values[-1]
+        best = swarm.individuals[int(np.argmin(h_values))]
+        watched = best.h_current if dea.best_rule == "argmin_h" else swarm.tau_h
+        return best.rmse_current, best.mae_current, best.h_current, watched
 
+    report = _run_epochs(step, min(dea.max_iterations, tc.max_epochs), tc.tolerance,
+                         lambda: HyperParams(lam=float(swarm.tau[0]),
+                                             lam_b=float(swarm.tau[1])),
+                         tuner={"population": dea.population, "best_rule": dea.best_rule})
     best = min(swarm.individuals, key=lambda ind: ind.h_current)
-    final_hp = HyperParams(lam=float(swarm.tau[0]), lam_b=float(swarm.tau[1]))
-    report = TrainReport(
-        epochs_run=len(h_trace),
-        per_epoch_rmse=rmse_trace,
-        per_epoch_mae=mae_trace,
-        per_epoch_h=h_trace,
-        cr_rmse=convergence_rounds(MetricSeries(rmse_trace, tc.tolerance)),
-        cr_mae=convergence_rounds(MetricSeries(mae_trace, tc.tolerance)),
-        termination=termination,
-        final_hp=final_hp,
-        best_lambda=float(swarm.tau[0]),
-        best_lambda_b=float(swarm.tau[1]),
-        population=dea.population,
-        best_rule=dea.best_rule,
-    )
     return best.model, report

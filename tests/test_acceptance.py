@@ -219,8 +219,11 @@ def test_criterion_7_dea_closure_and_monotonicity():
                f"({tau_hs[0]:.4f} -> {tau_hs[-1]:.4f})")
 
 
-def test_criterion_8_determinism(tmp_path):
+def test_criterion_8_determinism(tmp_path, monkeypatch):
     """Strict-sequential reruns and a 4-thread run write identical bytes."""
+    # the fixture's ~1750 training entries would fit one chunk; a small
+    # chunk makes the 4-thread run really spread over the pool
+    monkeypatch.setattr(dyntf.trainer, "_CHUNK", 256)
     sp, _ = _fixture()
     save_coo(sp.train, tmp_path / "tr.coo")
     save_coo(sp.validation, tmp_path / "va.coo")

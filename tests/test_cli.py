@@ -248,7 +248,23 @@ def test_overflowing_values_diverge_in_first_epoch(tmp_path, capsys):
                    "--lambda", 0.01, "--lambda-b", 0.01, "--max-epochs", 5,
                    "--out", tmp_path / "m.json", "--report", tmp_path / "r.json") == 4
     err = capsys.readouterr().err
-    assert "diverged" in err and "RuntimeWarning" not in err
+    assert "epoch 1: " in err and "diverged" in err and "RuntimeWarning" not in err
+
+
+def test_overflowing_validation_score_diverges_in_first_epoch(tmp_path, capsys):
+    # predictions near 1e180 pass the update checks, but squaring the
+    # validation residuals overflows: the first epoch's H is inf
+    data = tmp_path / "big.coo"
+    data.write_text("%dims 3 3 2\n0 1 0 1e60\n1 2 1 1e60\n2 0 0 1e60\n"
+                    "0 2 1 1e60\n1 1 0 1e60\n2 2 1 1e60\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert run("train", "--train", data, "--val", data, "--rank", 2,
+                   "--lambda", 0, "--lambda-b", 0, "--max-epochs", 5,
+                   "--out", tmp_path / "m.json", "--report", tmp_path / "r.json") == 4
+    err = capsys.readouterr().err
+    assert "epoch 1: non-finite validation score" in err
+    assert "RuntimeWarning" not in err
 
 
 def test_strict_sequential_reruns_byte_identical(workspace):

@@ -101,6 +101,9 @@ class TestNmuEpoch:
         m.U = m.U * 1e200
         with pytest.raises(DivergenceError, match="diverged"):
             nmu_epoch(m, data, HyperParams(0.0, 0.0))
+        # the epoch loop names the epoch in which the update diverged
+        with pytest.raises(DivergenceError, match=r"^epoch 1: non-finite .* diverged"):
+            train(m, data, data, HyperParams(0.0, 0.0), TrainConfig(max_epochs=3))
 
     def test_thread_count_does_not_change_results(self, monkeypatch, fixture_split):
         monkeypatch.setattr(dyntf.trainer, "_CHUNK", 64)

@@ -1,13 +1,14 @@
+import json
 import math
 
 import numpy as np
 import pytest
 
 import dyntf
-from dyntf import (DEAConfig, HyperParams, Individual, Swarm, TrainConfig,
-                   adapt_train, crossover, evaluate_individual, generate_synthetic,
-                   init_positive, init_swarm, mutate_and_bound, paper_fitness,
-                   train, update_best)
+from dyntf import (DEAConfig, DivergenceError, HyperParams, Individual, Swarm,
+                   TrainConfig, adapt_train, crossover, evaluate_individual,
+                   generate_synthetic, init_positive, init_swarm, model_to_dict,
+                   mutate_and_bound, paper_fitness, train, update_best)
 
 
 class _StubRng:
@@ -253,15 +254,17 @@ class TestAdaptTrain:
                                 fixture_split.validation, dea,
                                 TrainConfig(max_epochs=6, tolerance=0.0))
         assert report.epochs_run == 6
-        assert report.population == 4
-        assert report.best_rule == "argmin_h"
+        assert report.tuner == {"population": 4, "best_rule": "argmin_h"}
         lo1, hi1, lo2, hi2 = dea.bounds
-        assert lo1 <= report.best_lambda <= hi1
-        assert lo2 <= report.best_lambda_b <= hi2
+        assert lo1 <= report.final_hp.lam <= hi1
+        assert lo2 <= report.final_hp.lam_b <= hi2
         doc = report.to_dict()
-        assert doc["best_lambda"] == report.best_lambda
-        assert doc["final_hp"] == {"lambda": report.best_lambda,
-                                   "lambda_b": report.best_lambda_b}
+        assert list(doc)[-5:] == ["final_hp", "best_lambda", "best_lambda_b",
+                                  "population", "best_rule"]
+        assert doc["best_lambda"] == report.final_hp.lam
+        assert doc["best_lambda_b"] == report.final_hp.lam_b
+        assert doc["final_hp"] == {"lambda": report.final_hp.lam,
+                                   "lambda_b": report.final_hp.lam_b}
 
     def test_deterministic_given_seed(self, fixture_split):
         reports = []
@@ -273,20 +276,22 @@ class TestAdaptTrain:
                                  TrainConfig(max_epochs=5, tolerance=0.0))
             reports.append(rep)
         assert reports[0].per_epoch_h == reports[1].per_epoch_h
-        assert reports[0].best_lambda == reports[1].best_lambda
+        assert reports[0].final_hp == reports[1].final_hp
 
     def test_threaded_evaluation_matches_sequential(self, fixture_split):
-        reports = []
+        reports, model_bytes = [], []
         for threads in (1, 3):
             template = init_positive(50, 20, 2, 19, seed=5)
-            _, rep = adapt_train(template, fixture_split.train,
-                                 fixture_split.validation,
-                                 DEAConfig(population=5, seed=31),
-                                 TrainConfig(max_epochs=5, tolerance=0.0),
-                                 threads=threads)
+            model, rep = adapt_train(template, fixture_split.train,
+                                     fixture_split.validation,
+                                     DEAConfig(population=5, seed=31),
+                                     TrainConfig(max_epochs=5, tolerance=0.0),
+                                     threads=threads)
             reports.append(rep)
+            model_bytes.append(json.dumps(model_to_dict(model, rep.final_hp)).encode())
         assert reports[0].per_epoch_h == reports[1].per_epoch_h
-        assert reports[0].best_lambda == reports[1].best_lambda
+        assert reports[0].final_hp == reports[1].final_hp
+        assert model_bytes[0] == model_bytes[1]
 
     def test_paper_rule_runs(self, fixture_split):
         template = init_positive(50, 20, 2, 19, seed=5)
@@ -294,8 +299,17 @@ class TestAdaptTrain:
                                 fixture_split.validation,
                                 DEAConfig(population=4, seed=3, best_rule="paper_f"),
                                 TrainConfig(max_epochs=5, tolerance=0.0))
-        assert report.best_rule == "paper_f"
+        assert report.tuner["best_rule"] == "paper_f"
         assert report.epochs_run == 5
+
+    def test_divergence_in_pool_worker_names_its_epoch(self):
+        data, _ = generate_synthetic(6, 3, 1, 0.5, 0.5, 0.0, seed=1)
+        template = init_positive(6, 3, 1, 1, seed=1)
+        template.S = template.S * 1e200
+        template.U = template.U * 1e200
+        with pytest.raises(DivergenceError, match=r"^epoch 1: non-finite .* diverged"):
+            adapt_train(template, data, data, DEAConfig(population=4),
+                        TrainConfig(max_epochs=3), threads=2)
 
     def test_empty_validation_rejected(self, fixture_split):
         template = init_positive(50, 20, 2, 19, seed=5)
