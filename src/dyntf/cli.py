@@ -17,12 +17,15 @@ import sys
 
 import numpy as np
 
+from .atomic import open_atomic
 from .errors import DataError, DivergenceError
-from .metrics import h_score, mae, rmse
-from .model import (HyperParams, compute_temporal, init_positive, load_model,
+# perfbench/spans.py traces rmse, mae, h_score and predict_entries under
+# these names, so they stay importable from here
+from .metrics import h_score, mae, rmse  # noqa: F401
+from .model import (HyperParams, compute_temporal, init_positive, load_model,  # noqa: F401
                     predict, predict_entries, save_model)
 from .tensor import generate_synthetic, load_coo, save_coo, split
-from .trainer import TrainConfig, train
+from .trainer import TrainConfig, train, validation_metrics
 from .tuner import DEAConfig, adapt_train
 
 
@@ -35,7 +38,7 @@ def _log(message: str) -> None:
 
 
 def _write_json(path, doc: dict) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with open_atomic(path) as fh:
         json.dump(doc, fh, indent=2)
         fh.write("\n")
 
@@ -238,10 +241,12 @@ def cmd_train(args) -> int:
         config_echo.update({"lambda": args.lam, "lambda_b": args.lam_b})
         fitted, report = train(model, train_set, val_set, hp_out, tc, threads=threads)
 
-    save_model(fitted, hp_out, args.out)
+    # report before model: a run cut between the two writes leaves no new
+    # model without its report
     doc = report.to_dict()
     doc["config"] = config_echo
     _write_json(args.report, doc)
+    save_model(fitted, hp_out, args.out)
     _log(f"[train] {report.epochs_run} epochs ({report.termination}), "
          f"final h={report.per_epoch_h[-1]:.6f}")
     return 0
@@ -261,13 +266,11 @@ def cmd_evaluate(args) -> int:
         raise
     if test.n_entries == 0:
         raise DataError("empty test set")
-    cache = compute_temporal(model)
-    preds = predict_entries(model, cache, test.i, test.j, test.k)
-    pairs = np.column_stack((test.values, preds))
+    r, m, h = validation_metrics(model, test)
     doc = {
-        "rmse": rmse(pairs),
-        "mae": mae(pairs),
-        "h": h_score(pairs),
+        "rmse": r,
+        "mae": m,
+        "h": h,
         "n_test": test.n_entries,
         "config": {"command": "evaluate", "model": str(args.model),
                    "test": str(args.test)},

@@ -31,6 +31,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .atomic import open_atomic
+
 
 @dataclass
 class TemporalWeights:
@@ -306,11 +308,12 @@ def model_from_dict(doc: dict) -> tuple[FactorModel, HyperParams]:
 
 
 def save_model(model: FactorModel, hp: HyperParams, path, extra: dict | None = None) -> None:
-    """Write the model as JSON. Floats round-trip exactly (repr encoding)."""
+    """Write the model as JSON, atomically. Floats round-trip exactly (repr
+    encoding)."""
     doc = model_to_dict(model, hp)
     if extra:
         doc.update(extra)
-    with open(path, "w", encoding="utf-8") as fh:
+    with open_atomic(path) as fh:
         json.dump(doc, fh, indent=2)
         fh.write("\n")
 

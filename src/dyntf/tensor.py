@@ -19,6 +19,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .atomic import open_atomic
 from .errors import DataError
 from .model import FactorModel, TemporalWeights, compute_temporal, predict_entries
 
@@ -65,8 +66,8 @@ class SparseTensor:
                 raise DataError("non-finite value in tensor")
             if self.values.min() < 0:
                 raise DataError("negative value in tensor")
-        linear = (self.i * n + self.j) * k + self.k
-        if np.unique(linear).size != linear.size:
+        linear = np.sort((self.i * n + self.j) * k + self.k)
+        if (linear[1:] == linear[:-1]).any():
             raise DataError("duplicate (i, j, k) entry")
 
     @property
@@ -146,38 +147,68 @@ def load_coo(source, n_nodes: int | None = None, n_slots: int | None = None) -> 
 
 
 def _load_coo_stream(stream, n_nodes, n_slots) -> SparseTensor:
+    # One pass in bulk: the data lines are tokenised together, numpy casts
+    # each column (str -> int64/float64 calls int()/float() per token, so it
+    # accepts the same tokens and gives the same doubles), and SparseTensor
+    # checks bounds, signs, finiteness and duplicates once. Any failure hands
+    # the text to the line-by-line reader, which names the first bad line.
+    text = stream.read()
+    if isinstance(text, bytes):
+        text = text.decode("utf-8")
+    lines = text.split("\n")
+    start, n_nodes, n_slots = _take_header(lines, n_nodes, n_slots)
+    if n_nodes is None or n_slots is None:
+        raise DataError("tensor dimensions unknown: pass n_nodes/n_slots or add a %dims header")
+    rows = [line for line in map(str.strip, lines[start:]) if line and line[0] != "#"]
+    try:
+        # per line, not by the total: 3 + 5 fields would shift the columns
+        if set(map(len, map(str.split, rows))) - {4}:
+            raise ValueError("a record without 4 fields")
+        tokens = " ".join(rows).split()
+        i, j, k = (np.array(tokens[c::4], dtype=np.int64) for c in range(3))
+        return SparseTensor(n_nodes, n_slots, i, j, k,
+                            np.array(tokens[3::4], dtype=np.float64))
+    except (ValueError, OverflowError, DataError):
+        return _load_lines(lines, start, n_nodes, n_slots)
+
+
+def _take_header(lines: list[str], n_nodes, n_slots):
+    """Read the optional `%dims N N K` header, which may only be the first
+    non-comment line. Returns (index of the first data line, N, K)."""
+    for lineno, line in enumerate(lines, start=1):
+        tokens = line.split()
+        if not tokens or tokens[0].startswith("#"):
+            continue
+        if tokens[0] != "%dims":
+            return lineno - 1, n_nodes, n_slots
+        if len(tokens) != 4:
+            raise DataError(f"malformed line {lineno}: expected '%dims N N K'")
+        try:
+            hn, hn2, hk = int(tokens[1]), int(tokens[2]), int(tokens[3])
+        except ValueError:
+            raise DataError(f"malformed line {lineno}: %dims values must be integers") from None
+        if hn != hn2:
+            raise DataError(f"malformed line {lineno}: first two %dims values must match")
+        if n_nodes is not None and n_nodes != hn:
+            raise DataError(f"declared n_nodes {n_nodes} disagrees with %dims header {hn}")
+        if n_slots is not None and n_slots != hk:
+            raise DataError(f"declared n_slots {n_slots} disagrees with %dims header {hk}")
+        return lineno, hn, hk
+    return len(lines), n_nodes, n_slots
+
+
+def _load_lines(lines: list[str], start: int, n_nodes: int, n_slots: int) -> SparseTensor:
+    """The line-by-line reader, run only when the bulk pass fails: it raises
+    the error of the first bad line, or builds the tensor if there is none."""
     ii: list[int] = []
     jj: list[int] = []
     kk: list[int] = []
     vals: list[float] = []
     seen: set[tuple[int, int, int]] = set()
-    header_allowed = True
-    for lineno, raw in enumerate(stream, start=1):
-        if isinstance(raw, bytes):
-            raw = raw.decode("utf-8")
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
+    for lineno, line in enumerate(lines[start:], start=start + 1):
         tokens = line.split()
-        if header_allowed and tokens[0] == "%dims":
-            header_allowed = False
-            if len(tokens) != 4:
-                raise DataError(f"malformed line {lineno}: expected '%dims N N K'")
-            try:
-                hn, hn2, hk = int(tokens[1]), int(tokens[2]), int(tokens[3])
-            except ValueError:
-                raise DataError(f"malformed line {lineno}: %dims values must be integers") from None
-            if hn != hn2:
-                raise DataError(f"malformed line {lineno}: first two %dims values must match")
-            if n_nodes is not None and n_nodes != hn:
-                raise DataError(f"declared n_nodes {n_nodes} disagrees with %dims header {hn}")
-            if n_slots is not None and n_slots != hk:
-                raise DataError(f"declared n_slots {n_slots} disagrees with %dims header {hk}")
-            n_nodes, n_slots = hn, hk
+        if not tokens or tokens[0].startswith("#"):
             continue
-        header_allowed = False
-        if n_nodes is None or n_slots is None:
-            raise DataError("tensor dimensions unknown: pass n_nodes/n_slots or add a %dims header")
         i, j, k, value = _parse_line(tokens, lineno, n_nodes, n_slots)
         key = (i, j, k)
         if key in seen:
@@ -187,25 +218,24 @@ def _load_coo_stream(stream, n_nodes, n_slots) -> SparseTensor:
         jj.append(j)
         kk.append(k)
         vals.append(value)
-    if n_nodes is None or n_slots is None:
-        raise DataError("tensor dimensions unknown: pass n_nodes/n_slots or add a %dims header")
     return SparseTensor(n_nodes, n_slots, ii, jj, kk, vals)
 
 
 def save_coo(tensor: SparseTensor, dest) -> None:
     """Write COO text with a `%dims` header. Values use repr so a reload
-    reproduces every double exactly."""
+    reproduces every double exactly. A path is written atomically: a
+    failed write leaves the previous file, or none, in place."""
     if hasattr(dest, "write"):
         _save_coo_stream(tensor, dest)
     else:
-        with open(dest, "w", encoding="utf-8") as fh:
+        with open_atomic(dest) as fh:
             _save_coo_stream(tensor, fh)
 
 
 def _save_coo_stream(tensor: SparseTensor, fh) -> None:
     fh.write(f"%dims {tensor.n_nodes} {tensor.n_nodes} {tensor.n_slots}\n")
-    for a, b, c, v in zip(tensor.i, tensor.j, tensor.k, tensor.values):
-        fh.write(f"{a} {b} {c} {float(v)!r}\n")
+    fh.write("".join([f"{a} {b} {c} {v!r}\n" for a, b, c, v in zip(
+        tensor.i.tolist(), tensor.j.tolist(), tensor.k.tolist(), tensor.values.tolist())]))
 
 
 def coo_dumps(tensor: SparseTensor) -> str:
@@ -270,15 +300,15 @@ def _sample_positions(rng: np.random.Generator, total: int, count: int) -> np.nd
     if total <= 1 << 24:
         pos = rng.choice(total, size=count, replace=False)
     else:
-        picked: dict[int, None] = {}
-        while len(picked) < count:
-            batch = rng.integers(0, total, size=int(1.3 * (count - len(picked)) + 16))
-            for p in batch.tolist():
-                if p not in picked:
-                    picked[p] = None
-                    if len(picked) == count:
-                        break
-        pos = np.fromiter(picked.keys(), dtype=np.int64, count=count)
+        # keep the first `count` distinct draws, batch by batch: a batch's new
+        # values in first-occurrence order, minus those already picked
+        pos = np.empty(0, dtype=np.int64)
+        while pos.size < count:
+            batch = rng.integers(0, total, size=int(1.3 * (count - pos.size) + 16))
+            _, first = np.unique(batch, return_index=True)
+            fresh = batch[np.sort(first)]
+            fresh = fresh[~np.isin(fresh, pos)]
+            pos = np.concatenate((pos, fresh[:count - pos.size]))
     return np.sort(pos)
 
 

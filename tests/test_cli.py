@@ -1,11 +1,13 @@
 import json
+import os
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 import dyntf
-from dyntf.cli import main
+from dyntf.cli import _write_json, main
 
 
 def run(*argv):
@@ -148,6 +150,16 @@ class TestTrain:
                    workspace / "va.coo", "--lambda", 0.1, "--lambda-b", 0.1,
                    "--out", workspace / "m", "--report", workspace / "r") == 3
 
+    def test_report_written_before_model(self, workspace, monkeypatch):
+        def full_disk(*args, **kwargs):
+            raise OSError("No space left on device")
+
+        monkeypatch.setattr(dyntf.cli, "save_model", full_disk)
+        assert _train(workspace, "--lambda", 0.01, "--lambda-b", 0.01,
+                      "--max-epochs", 3) == 3
+        assert (workspace / "r.json").exists()
+        assert not (workspace / "m.json").exists()
+
     def test_divergence_exit_code(self, workspace):
         assert _train(workspace, "--lambda", 0, "--lambda-b", 0,
                       "--max-epochs", 5, "--init-scale", "1e200") == 4
@@ -274,6 +286,48 @@ def test_strict_sequential_reruns_byte_identical(workspace):
                       out=f"m{suffix}.json", report=f"r{suffix}.json") == 0
     assert (workspace / "m1.json").read_bytes() == (workspace / "m2.json").read_bytes()
     assert (workspace / "r1.json").read_bytes() == (workspace / "r2.json").read_bytes()
+
+
+class _FailingValues:
+    """Stands in for a value array whose serialization fails midway."""
+
+    def tolist(self):
+        raise RuntimeError("write failed")
+
+    __iter__ = tolist
+
+
+def _fail_coo(path):
+    one = np.zeros(1, dtype=np.int64)
+    # the %dims line is written before the values fail
+    dyntf.save_coo(SimpleNamespace(n_nodes=2, n_slots=1, i=one, j=one, k=one,
+                                   values=_FailingValues()), path)
+
+
+def _fail_model(path):
+    m = dyntf.FactorModel(
+        S=np.ones((2, 1)), U=np.ones((2, 1)), Z=np.ones((1, 1)),
+        a=np.ones(2), c=np.ones(2), e=np.ones(1),
+        weights=dyntf.TemporalWeights(band=np.zeros((1, 0)), window=0))
+    # json.dump writes the factors before it meets the object it cannot encode
+    dyntf.save_model(m, dyntf.HyperParams(0.0, 0.0), path, extra={"bad": object()})
+
+
+def _fail_json(path):
+    _write_json(path, {"rmse": 0.5, "bad": object()})
+
+
+@pytest.mark.parametrize("existing", [False, True])
+@pytest.mark.parametrize("write", [_fail_coo, _fail_model, _fail_json])
+def test_failed_write_leaves_no_partial_file(tmp_path, write, existing):
+    target = tmp_path / "out"
+    if existing:
+        target.write_text("old\n")
+    with pytest.raises((RuntimeError, TypeError)):
+        write(target)
+    assert os.listdir(tmp_path) == (["out"] if existing else [])
+    if existing:
+        assert target.read_text() == "old\n"
 
 
 def test_unknown_command_exits_nonzero():
