@@ -214,9 +214,15 @@ def compute_temporal(model: FactorModel) -> TemporalCache:
 def predict_entries(model: FactorModel, cache: TemporalCache,
                     ii: np.ndarray, jj: np.ndarray, kk: np.ndarray) -> np.ndarray:
     """Vectorized predictions for parallel index arrays (ii, jj, kk)."""
-    su = model.S[ii] * model.U[jj]
-    return (np.einsum("nd,nd->n", su, cache.z_hat[kk])
-            + model.a[ii] + model.c[jj] + cache.e_hat[kk])
+    return predict_rows(model.S[ii] * model.U[jj], cache.z_hat[kk],
+                        model.a[ii], model.c[jj], cache.e_hat[kk])
+
+
+def predict_rows(su: np.ndarray, zk: np.ndarray, ai: np.ndarray, cj: np.ndarray,
+                 ek: np.ndarray) -> np.ndarray:
+    """Predictions from gathered rows: su = S[i] * U[j], zk = z_hat[k] and
+    the biases a[i], c[j], e_hat[k] of each entry."""
+    return np.einsum("nd,nd->n", su, zk) + ai + cj + ek
 
 
 def predict(model: FactorModel, cache: TemporalCache, i: int, j: int, k: int) -> float:

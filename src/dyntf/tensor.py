@@ -66,8 +66,13 @@ class SparseTensor:
                 raise DataError("non-finite value in tensor")
             if self.values.min() < 0:
                 raise DataError("negative value in tensor")
-        linear = np.sort((self.i * n + self.j) * k + self.k)
-        if (linear[1:] == linear[:-1]).any():
+        if n * n * k <= np.iinfo(np.int64).max:
+            linear = np.sort((self.i * n + self.j) * k + self.k)
+            repeated = linear[1:] == linear[:-1]
+        else:  # the linear key would wrap: sort the (i, j, k) triples instead
+            triples = np.stack((self.i, self.j, self.k))[:, np.lexsort((self.k, self.j, self.i))]
+            repeated = (triples[:, 1:] == triples[:, :-1]).all(axis=0)
+        if repeated.any():
             raise DataError("duplicate (i, j, k) entry")
 
     @property

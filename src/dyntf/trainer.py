@@ -14,7 +14,15 @@ keep their value.
 The accumulation is a reduction over observed entries. Entries are
 processed in fixed-size chunks whose partial sums are combined in chunk
 order, so the result is bit-identical whether chunks run on one thread or
-several; `threads` only controls how many chunks are in flight.
+several; `threads` only controls how many chunks are in flight. The chunk
+size is a constant, never derived from `threads` or the machine, because
+the chunk grid fixes the summation order and so the bytes of the model.
+Its value, 8192 entries, came from a sweep of 4096/8192/16384 on a
+2000-node rank-20 tensor and a 2000-slot rank-10 one at 1 and 2 threads:
+at rank 20 a chunk's per-entry temporaries are then 1.3 MB each, which
+stay in a 2 MB L2 cache (32768 made them 5.2 MB), and 100k entries make
+13 chunks, which two threads share evenly (32768 made 4, three full and
+one short).
 
 `train` and the tuner's `adapt_train` are steps of one epoch loop,
 `_run_epochs`, which records the scores, stops and builds the report.
@@ -29,9 +37,10 @@ import numpy as np
 
 from .errors import DivergenceError
 from .metrics import MetricSeries, convergence_rounds, mae, rmse
-from .model import FactorModel, HyperParams, compute_temporal, predict_entries
+from .model import (FactorModel, HyperParams, compute_temporal, predict_entries,
+                    predict_rows)
 
-_CHUNK = 32768
+_CHUNK = 8192
 DENOM_FLOOR = 1e-12  # smallest denominator a multiplicative step divides by
 
 
@@ -97,14 +106,6 @@ class TrainReport:
         return doc
 
 
-def _bincount_rows(idx: np.ndarray, contrib: np.ndarray, n_groups: int) -> np.ndarray:
-    # row-wise scatter-add: out[g] += contrib[n] for every n with idx[n] == g
-    width = contrib.shape[1]
-    keys = idx[:, None] * width + np.arange(width)
-    flat = np.bincount(keys.ravel(), weights=contrib.ravel(), minlength=n_groups * width)
-    return flat.reshape(n_groups, width)
-
-
 # divergence shows up as inf/nan accumulators and is reported through
 # DivergenceError, so the intermediate FP warnings are pure noise
 @np.errstate(over="ignore", invalid="ignore")
@@ -113,42 +114,47 @@ def _chunk_sums(model, cache, data, lo, hi):
     jj = data.j[lo:hi]
     kk = data.k[lo:hi]
     x = data.values[lo:hi]
-    pred = predict_entries(model, cache, ii, jj, kk)
     si = model.S[ii]
     uj = model.U[jj]
     zk = cache.z_hat[kk]
     su = si * uj
-    uz = uj * zk
-    sz = si * zk
-    n, k = model.n_nodes, model.n_slots
-    return {
-        "num_s": _bincount_rows(ii, x[:, None] * uz, n),
-        "den_s": _bincount_rows(ii, pred[:, None] * uz, n),
-        "num_u": _bincount_rows(jj, x[:, None] * sz, n),
-        "den_u": _bincount_rows(jj, pred[:, None] * sz, n),
-        "g_num": _bincount_rows(kk, x[:, None] * su, k),
-        "g_den": _bincount_rows(kk, pred[:, None] * su, k),
-        "num_a": np.bincount(ii, weights=x, minlength=n),
-        "den_a": np.bincount(ii, weights=pred, minlength=n),
-        "num_c": np.bincount(jj, weights=x, minlength=n),
-        "den_c": np.bincount(jj, weights=pred, minlength=n),
-        "h_num": np.bincount(kk, weights=x, minlength=k),
-        "h_den": np.bincount(kk, weights=pred, minlength=k),
-    }
+    pred = predict_rows(su, zk, model.a[ii], model.c[jj], cache.e_hat[kk])
+    n, k, rank = model.n_nodes, model.n_slots, model.rank
+    sums = {}
+    for idx, rows, groups, names in ((ii, uj * zk, n, ("num_s", "den_s", "num_a", "den_a")),
+                                     (jj, si * zk, n, ("num_u", "den_u", "num_c", "den_c")),
+                                     (kk, su, k, ("g_num", "g_den", "h_num", "h_den"))):
+        # row-wise scatter-add over one key array: out[g, d] += weight[n] *
+        # rows[n, d] for every n with idx[n] == g
+        keys = (idx[:, None] * rank + np.arange(rank)).ravel()
+        for weight, row_name, bias_name in zip((x, pred), names[:2], names[2:]):
+            sums[row_name] = np.bincount(keys, weights=(weight[:, None] * rows).ravel(),
+                                         minlength=groups * rank).reshape(groups, rank)
+            sums[bias_name] = np.bincount(idx, weights=weight, minlength=groups)
+    return sums
 
 
 def _epoch_sums(model, cache, data, threads):
     bounds = [(lo, min(lo + _CHUNK, data.n_entries))
               for lo in range(0, data.n_entries, _CHUNK)]
+
+    def chunk(b):
+        return _chunk_sums(model, cache, data, *b)
+
     if threads > 1 and len(bounds) > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(lambda b: _chunk_sums(model, cache, data, *b), bounds))
-    else:
-        parts = [_chunk_sums(model, cache, data, *b) for b in bounds]
-    total = parts[0]
-    for part in parts[1:]:
-        for key in total:
-            total[key] = total[key] + part[key]
+            return _merge_in_order(pool.map(chunk, bounds))
+    return _merge_in_order(map(chunk, bounds))
+
+
+def _merge_in_order(parts):
+    # adds each chunk's sums into the first chunk's arrays in chunk order,
+    # so the totals do not depend on which thread ran which chunk
+    parts = iter(parts)
+    total = next(parts)
+    for part in parts:
+        for key, arr in total.items():
+            arr += part[key]
     return total
 
 

@@ -251,6 +251,17 @@ def test_constructor_validation():
         SparseTensor(2, 2, [0], [0], [0], [np.nan])
 
 
+def test_duplicate_check_at_dims_past_int64():
+    # N * N * K = 2**95: the linear key (i * N + j) * K + k would wrap, and
+    # i = 1 and i = 3 would both map to -2**63
+    n, k = 2**32, 2**31
+    t = SparseTensor(n, k, [1, 3], [0, 0], [0, 0], [1.0, 1.0])
+    assert t.n_entries == 2
+    SparseTensor(n, k, [5, 5, 5], [n - 1, n - 1, 0], [k - 1, k - 2, k - 1], [1.0] * 3)
+    with pytest.raises(DataError, match="duplicate"):
+        SparseTensor(n, k, [1, 3, 1], [n - 1, 0, n - 1], [k - 1, 0, k - 1], [1.0] * 3)
+
+
 class TestSplit:
     def test_sizes_floor_then_remainder(self):
         t = SparseTensor(5, 4, np.arange(20) % 5, np.arange(20) // 5 % 5,

@@ -1,12 +1,17 @@
+import json
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import dyntf
 import dyntf.trainer
 from dyntf import (DivergenceError, FactorModel, HyperParams, SparseTensor,
                    TemporalWeights, TrainConfig, analytic_gradient, band_indices,
-                   compute_temporal, generate_synthetic, init_positive, nmu_epoch,
-                   objective, train)
+                   compute_temporal, generate_synthetic, init_positive, model_to_dict,
+                   nmu_epoch, objective, predict_entries, train)
 
 
 def _single_entry_model(value=2.0):
@@ -115,6 +120,128 @@ class TestNmuEpoch:
                 nmu_epoch(m, fixture_split.train, hp, threads=threads)
             results.append(m)
         assert _max_param_change(results[0], results[1]) == 0.0
+
+
+def _random_tensor(n_nodes, n_slots, n_entries, seed):
+    rng = np.random.default_rng(seed)
+    flat = rng.choice(n_nodes * n_nodes * n_slots, size=n_entries, replace=False)
+    ii, rest = np.divmod(flat, n_nodes * n_slots)
+    jj, kk = np.divmod(rest, n_slots)
+    return SparseTensor(n_nodes, n_slots, ii, jj, kk, rng.uniform(0.0, 2.0, n_entries))
+
+
+def _reference_sums(model, cache, data):
+    """The accumulators of one epoch, unchunked, with np.add.at."""
+    ii, jj, kk, x = data.i, data.j, data.k, data.values
+    pred = predict_entries(model, cache, ii, jj, kk)
+    si, uj, zk = model.S[ii], model.U[jj], cache.z_hat[kk]
+    n, n_slots = model.n_nodes, model.n_slots
+    out = {}
+    for idx, rows, groups, num, den in ((ii, uj * zk, n, "num_s", "den_s"),
+                                        (jj, si * zk, n, "num_u", "den_u"),
+                                        (kk, si * uj, n_slots, "g_num", "g_den")):
+        for weight, name in ((x, num), (pred, den)):
+            out[name] = np.zeros((groups, model.rank))
+            np.add.at(out[name], idx, weight[:, None] * rows)
+    for idx, groups, num, den in ((ii, n, "num_a", "den_a"), (jj, n, "num_c", "den_c"),
+                                  (kk, n_slots, "h_num", "h_den")):
+        for weight, name in ((x, num), (pred, den)):
+            out[name] = np.zeros(groups)
+            np.add.at(out[name], idx, weight)
+    return out
+
+
+class TestEpochSums:
+    @pytest.mark.parametrize("chunk, n_entries", [
+        (1, 301), (7, 301), (dyntf.trainer._CHUNK, 2 * dyntf.trainer._CHUNK + 123),
+        (302, 301)])
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_matches_unchunked_reference(self, monkeypatch, chunk, n_entries, threads):
+        data = _random_tensor(60, 20, n_entries, seed=n_entries)
+        model = init_positive(60, 20, 3, 4, seed=8)
+        cache = compute_temporal(model)
+        monkeypatch.setattr(dyntf.trainer, "_CHUNK", chunk)
+        sums = dyntf.trainer._epoch_sums(model, cache, data, threads)
+        ref = _reference_sums(model, cache, data)
+        assert sums.keys() == ref.keys()
+        for name, expected in ref.items():
+            np.testing.assert_allclose(sums[name], expected, rtol=1e-12, atol=0, err_msg=name)
+
+    def test_real_chunk_grid_thread_count_does_not_change_model_bytes(self):
+        # more than three real chunks, the last one short, so the pool runs
+        n_entries = 3 * dyntf.trainer._CHUNK + 457
+        data = _random_tensor(80, 30, n_entries, seed=3)
+        validation = _random_tensor(80, 30, 50, seed=4)
+        docs = []
+        for threads in (1, 2):
+            model = init_positive(80, 30, 4, 5, seed=9)
+            fitted, _ = train(model, data, validation, HyperParams(0.01, 0.01),
+                              TrainConfig(max_epochs=3, tolerance=0.0), threads=threads)
+            docs.append(json.dumps(model_to_dict(fitted, HyperParams(0.01, 0.01))))
+        assert docs[0] == docs[1]
+
+
+@st.composite
+def _mu_cases(draw):
+    n = draw(st.integers(1, 5))
+    n_slots = draw(st.integers(1, 5))
+    cells = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1),
+                                    st.integers(0, n_slots - 1)),
+                          unique=True, max_size=12))
+    values = draw(st.lists(st.floats(0.0, 10.0), min_size=len(cells), max_size=len(cells)))
+    ii, jj, kk = (np.array([c[a] for c in cells], dtype=np.int64) for a in range(3))
+    data = SparseTensor(n, n_slots, ii, jj, kk, values)
+    model = init_positive(n, n_slots, draw(st.integers(1, 3)),
+                          draw(st.integers(0, n_slots - 1)), seed=draw(st.integers(0, 2**16)))
+    # zero some parameters exactly: multiplicative updates must keep them at 0
+    zero_rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    for arr in (model.S, model.U, model.Z, model.a, model.c, model.e, model.weights.band):
+        arr[zero_rng.random(arr.shape) < 0.2] = 0.0
+    hp = HyperParams(draw(st.floats(0.0, 1.0)), draw(st.floats(0.0, 1.0)))
+    return model, data, hp, draw(st.sampled_from(["att", "baseline"]))
+
+
+def _params(model):
+    return {"S": model.S, "U": model.U, "Z": model.Z, "a": model.a, "c": model.c,
+            "e": model.e, "band": model.weights.band}
+
+
+class TestMuInvariants:
+    @settings(max_examples=150, deadline=None)
+    @given(_mu_cases())
+    def test_one_epoch_keeps_the_invariants(self, case):
+        model, data, hp, mode = case
+        before = {name: arr.copy() for name, arr in _params(model).items()}
+        nmu_epoch(model, data, hp, mode=mode)
+        after = _params(model)
+        for name, arr in after.items():
+            assert np.isfinite(arr).all() and (arr >= 0).all(), name
+            # zero-locking: an exact 0 stays 0
+            assert (arr[before[name] == 0.0] == 0.0).all(), name
+        n, n_slots, window = model.n_nodes, model.n_slots, model.window
+        seen_i = np.isin(np.arange(n), data.i)
+        seen_j = np.isin(np.arange(n), data.j)
+        seen_k = np.isin(np.arange(n_slots), data.k)
+        # slot l is reached by entries in slots l .. l + window
+        reached = np.array([seen_k[l:l + window + 1].any() for l in range(n_slots)])
+        for name, untouched in (("S", ~seen_i), ("a", ~seen_i), ("U", ~seen_j),
+                                ("c", ~seen_j), ("Z", ~reached), ("e", ~reached),
+                                ("band", ~seen_k)):
+            assert np.array_equal(after[name][untouched], before[name][untouched]), name
+        if mode == "baseline":
+            assert np.array_equal(after["band"], before["band"])
+
+    @settings(max_examples=60, deadline=None)
+    @given(_mu_cases(), st.integers(1, 4))
+    def test_thread_count_does_not_change_bytes(self, case, chunk):
+        model, data, hp, mode = case
+        results = []
+        with mock.patch.object(dyntf.trainer, "_CHUNK", chunk):
+            for threads in (1, 3):
+                m = model.copy()
+                nmu_epoch(m, data, hp, mode=mode, threads=threads)
+                results.append(b"".join(arr.tobytes() for arr in _params(m).values()))
+        assert results[0] == results[1]
 
 
 class TestTrain:
