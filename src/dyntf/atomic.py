@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import os
 from contextlib import contextmanager
 
@@ -28,3 +29,12 @@ def open_atomic(path):
     except BaseException:
         os.unlink(tmp)
         raise
+
+
+def write_json(path, doc: dict) -> None:
+    """Write `doc` atomically as JSON indented by 2, plus a newline. A NaN
+    or infinite float raises ValueError, since JSON has no such number,
+    and leaves `path` as it was."""
+    with open_atomic(path) as fh:
+        json.dump(doc, fh, indent=2, allow_nan=False)
+        fh.write("\n")

@@ -12,12 +12,11 @@ divergence.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 import numpy as np
 
-from .atomic import open_atomic
+from .atomic import write_json
 from .errors import DataError, DivergenceError
 # perfbench/spans.py traces rmse, mae, h_score and predict_entries under
 # these names, so they stay importable from here
@@ -35,12 +34,6 @@ class UsageError(Exception):
 
 def _log(message: str) -> None:
     print(message, file=sys.stderr)
-
-
-def _write_json(path, doc: dict) -> None:
-    with open_atomic(path) as fh:
-        json.dump(doc, fh, indent=2)
-        fh.write("\n")
 
 
 def _load_tensor(path, nodes, slots):
@@ -131,8 +124,8 @@ def cmd_generate(args) -> int:
         raise UsageError("density must be in (0,1]")
     if not (0 <= args.ar < 1):
         raise UsageError("--ar must lie in [0,1)")
-    if args.noise < 0:
-        raise UsageError("--noise must be nonnegative")
+    if not (0 <= args.noise < np.inf):
+        raise UsageError("--noise must be finite and nonnegative")
     if args.nodes < 1 or args.slots < 1 or args.rank < 1:
         raise UsageError("--nodes, --slots and --rank must be >= 1")
     tensor, truth = generate_synthetic(
@@ -150,18 +143,19 @@ def cmd_generate(args) -> int:
     return 0
 
 
-def _parse_triple(text: str):
-    parts = [float(tok) for tok in text.split(",")]
-    if len(parts) != 3:
-        raise ValueError
-    return tuple(parts)
+def _parse_floats(text: str, count: int, flag: str) -> tuple:
+    """`count` comma-separated finite numbers, else a UsageError naming `flag`."""
+    try:
+        parts = tuple(float(tok) for tok in text.split(","))
+    except ValueError:
+        parts = ()
+    if len(parts) != count or not np.isfinite(parts).all():
+        raise UsageError(f"{flag} must be {count} comma-separated finite numbers")
+    return parts
 
 
 def cmd_split(args) -> int:
-    try:
-        ratios = _parse_triple(args.ratios)
-    except ValueError:
-        raise UsageError("--ratios must be three comma-separated numbers") from None
+    ratios = _parse_floats(args.ratios, 3, "--ratios")
     tensor = _load_tensor(args.input, args.nodes, args.slots)
     result = split(tensor, ratios, args.seed)
     save_coo(result.train, args.out_train)
@@ -170,13 +164,6 @@ def cmd_split(args) -> int:
     _log(f"[split] {result.train.n_entries}/{result.validation.n_entries}/"
          f"{result.test.n_entries} entries (seed {args.seed})")
     return 0
-
-
-def _parse_bounds(text: str):
-    parts = [float(tok) for tok in text.split(",")]
-    if len(parts) != 4:
-        raise UsageError("--bounds must be four comma-separated numbers")
-    return tuple(parts)
 
 
 def cmd_train(args) -> int:
@@ -221,7 +208,7 @@ def cmd_train(args) -> int:
         "adapt": bool(args.adapt),
     }
     if args.adapt:
-        bounds = _parse_bounds(args.bounds)
+        bounds = _parse_floats(args.bounds, 4, "--bounds")
         try:
             dea = DEAConfig(population=args.pop, max_iterations=args.max_epochs,
                             scale_factor=args.scale_factor, crossover_prob=args.cp,
@@ -245,7 +232,7 @@ def cmd_train(args) -> int:
     # model without its report
     doc = report.to_dict()
     doc["config"] = config_echo
-    _write_json(args.report, doc)
+    write_json(args.report, doc)
     save_model(fitted, hp_out, args.out)
     _log(f"[train] {report.epochs_run} epochs ({report.termination}), "
          f"final h={report.per_epoch_h[-1]:.6f}")
@@ -275,7 +262,7 @@ def cmd_evaluate(args) -> int:
         "config": {"command": "evaluate", "model": str(args.model),
                    "test": str(args.test)},
     }
-    _write_json(args.report, doc)
+    write_json(args.report, doc)
     _log(f"[evaluate] rmse={doc['rmse']:.6f} mae={doc['mae']:.6f} on {test.n_entries} entries")
     return 0
 

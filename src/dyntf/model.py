@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .atomic import open_atomic
+from .atomic import write_json
 
 
 @dataclass
@@ -181,8 +181,8 @@ def init_positive(n_nodes: int, n_slots: int, rank: int, window: int,
     """
     if rank < 1:
         raise ValueError("rank must be >= 1")
-    if scale <= 0:
-        raise ValueError("scale must be positive")
+    if not (0 < scale < np.inf):
+        raise ValueError("scale must be positive and finite")
     if not (0 <= window <= max(n_slots - 1, 0)):
         raise ValueError("window must lie in [0, K-1]")
     rng = np.random.default_rng(seed)
@@ -297,6 +297,9 @@ def model_from_dict(doc: dict) -> tuple[FactorModel, HyperParams]:
             raise ValueError(f"model field {name!r} is malformed: {exc}") from None
 
     n, k, d, window = (field(name, int) for name in ("n_nodes", "n_slots", "rank", "window"))
+    for name, value in (("n_nodes", n), ("n_slots", k), ("rank", d)):
+        if value < 0:  # reshape would read -1 as "infer this dimension"
+            raise ValueError(f"model field {name!r} must be nonnegative")
     e = field("e", float, k)  # bounds K by the document size before any (K, window) allocation
     if not (0 <= window <= max(k - 1, 0)):
         raise ValueError(f"model field 'window' must lie in [0, {max(k - 1, 0)}]")
@@ -319,9 +322,7 @@ def save_model(model: FactorModel, hp: HyperParams, path, extra: dict | None = N
     doc = model_to_dict(model, hp)
     if extra:
         doc.update(extra)
-    with open_atomic(path) as fh:
-        json.dump(doc, fh, indent=2)
-        fh.write("\n")
+    write_json(path, doc)
 
 
 def load_model(path) -> tuple[FactorModel, HyperParams]:

@@ -339,8 +339,8 @@ def generate_synthetic(n_nodes: int, n_slots: int, true_rank: int, density: floa
     """
     if not (0 <= temporal_correlation < 1):
         raise ValueError("temporal_correlation must lie in [0, 1)")
-    if noise_scale < 0:
-        raise ValueError("noise_scale must be nonnegative")
+    if not (0 <= noise_scale < np.inf):
+        raise ValueError("noise_scale must be finite and nonnegative")
     if true_rank < 1:
         raise ValueError("true_rank must be >= 1")
     total = n_nodes * n_nodes * n_slots

@@ -9,7 +9,9 @@ learning rate theta / denominator turns the additive step into
     theta <- theta * numerator / max(denominator, DENOM_FLOOR)
 
 which preserves nonnegativity. Parameters touched by no observed entry
-keep their value.
+keep their value. `_mu_terms` computes every numerator and denominator;
+`analytic_gradient` is den - num of those same terms, so a finite-
+difference check of it checks the code that trains.
 
 The accumulation is a reduction over observed entries. Entries are
 processed in fixed-size chunks whose partial sums are combined in chunk
@@ -60,8 +62,8 @@ class TrainConfig:
     def __post_init__(self):
         if self.max_epochs < 1:
             raise ValueError("max_epochs must be >= 1")
-        if self.tolerance < 0:
-            raise ValueError("tolerance must be nonnegative")
+        if not (0 <= self.tolerance < np.inf):
+            raise ValueError("tolerance must be finite and nonnegative")
         if self.mode not in ("att", "baseline"):
             raise ValueError("mode must be 'att' or 'baseline'")
 
@@ -171,22 +173,12 @@ def _ensure_finite(what: str, arr: np.ndarray) -> None:
         raise DivergenceError(f"non-finite {what}; model diverged")
 
 
-def _mu_step(name, mask, old, num, den):
-    # old * num / max(den, floor) where mask holds, old elsewhere
-    _ensure_finite(f"accumulator in {name} update", num)
-    _ensure_finite(f"accumulator in {name} update", den)
-    new = np.where(mask, old * num / np.maximum(den, DENOM_FLOOR), old)
-    _ensure_finite(f"{name} after the update", new)
-    return new
-
-
 @np.errstate(over="ignore", invalid="ignore")
-def nmu_epoch(model: FactorModel, train: "SparseTensor", hp: HyperParams,
-              mode: str = "att", threads: int = 1) -> FactorModel:
-    """Run one full multiplicative update in place and return the model.
-
-    Accumulator forms, all from the epoch-start snapshot with x_hat the
-    snapshot prediction:
+def _mu_terms(model: FactorModel, cache, data, hp: HyperParams, threads: int) -> dict:
+    """{group: (num, den, mask)} for S, U, Z, a, c, e and the W band, over
+    the entries of `data` (at least one). den - num is the gradient of
+    objective(); mask marks the parameters some entry reaches, and den -
+    num is 0 elsewhere. With x_hat the current prediction:
 
       S[i,d]: num = sum over entries of i of x * U[j,d] * z_hat[k,d]
               den = sum of x_hat * U[j,d] * z_hat[k,d] + lam * S[i,d]
@@ -202,56 +194,65 @@ def nmu_epoch(model: FactorModel, train: "SparseTensor", hp: HyperParams,
               num = sum of sum_d x * S[i,d] * U[j,d] * Z[l,d] + x * e[l]
               den = sum of sum_d (x_hat * S[i,d] * U[j,d] + lam * z_hat[k,d]) * Z[l,d]
                     + (x_hat + lam_b * e_hat[k]) * e[l]
-
-    Baseline mode skips the w update. Raises DivergenceError, leaving the
-    model as it was, when an accumulator or an updated parameter group
-    turns non-finite or the updated predictions could overflow.
     """
-    if train.n_entries == 0:
-        return model  # nothing observed: every entry subset is empty
-    weights = model.weights
-    window = weights.window
-    n, n_slots = model.n_nodes, model.n_slots
-    cache = compute_temporal(model)
-    sums = _epoch_sums(model, cache, train, threads)
-
-    counts_i = np.bincount(train.i, minlength=n).astype(float)
-    counts_j = np.bincount(train.j, minlength=n).astype(float)
-    counts_k = np.bincount(train.k, minlength=n_slots).astype(float)
+    n, n_slots, window = model.n_nodes, model.n_slots, model.window
+    sums = _epoch_sums(model, cache, data, threads)
+    counts_i = np.bincount(data.i, minlength=n).astype(float)
+    counts_j = np.bincount(data.j, minlength=n).astype(float)
+    counts_k = np.bincount(data.k, minlength=n_slots).astype(float)
     lam, lam_b = hp.lam, hp.lam_b
 
-    den_s = sums["den_s"] + lam * model.S * counts_i[:, None]
-    den_u = sums["den_u"] + lam * model.U * counts_j[:, None]
-    den_a = sums["den_a"] + lam_b * model.a * counts_i
-    den_c = sums["den_c"] + lam_b * model.c * counts_j
     # per-slot sums of the [Z | e] numerators (index 0) and denominators
     # (index 1), K x 2 x (D + 1); W.T carries them back to the slots they mix
     slot = np.stack((np.column_stack((sums["g_num"], sums["h_num"])),
                      np.column_stack((sums["g_den"] + lam * cache.z_hat * counts_k[:, None],
                                       sums["h_den"] + lam_b * cache.e_hat * counts_k))),
                     axis=1)
-    back = weights.mix(slot, transpose=True)
+    back = model.weights.mix(slot, transpose=True)
+    # lag m pairs slot k's sums with [Z | e][k - m]; rows k < m stay 0
+    ze = np.column_stack((model.Z, model.e))
+    band = np.zeros((n_slots, 2, window))
+    for m in range(1, window + 1):
+        band[m:, :, m - 1] = np.einsum("ksd,kd->ks", slot[m:], ze[:-m])
 
-    has_i = counts_i > 0
-    has_j = counts_j > 0
+    has_i, has_j = counts_i > 0, counts_j > 0
     reach = _window_reach(counts_k, window) > 0
-    new = {
-        "S": _mu_step("S", has_i[:, None], model.S, sums["num_s"], den_s),
-        "U": _mu_step("U", has_j[:, None], model.U, sums["num_u"], den_u),
-        "Z": _mu_step("Z", reach[:, None], model.Z, back[:, 0, :-1], back[:, 1, :-1]),
-        "a": _mu_step("a", has_i, model.a, sums["num_a"], den_a),
-        "c": _mu_step("c", has_j, model.c, sums["num_c"], den_c),
-        "e": _mu_step("e", reach, model.e, back[:, 0, -1], back[:, 1, -1]),
+    return {
+        "S": (sums["num_s"], sums["den_s"] + lam * model.S * counts_i[:, None], has_i[:, None]),
+        "U": (sums["num_u"], sums["den_u"] + lam * model.U * counts_j[:, None], has_j[:, None]),
+        "Z": (back[:, 0, :-1], back[:, 1, :-1], reach[:, None]),
+        "a": (sums["num_a"], sums["den_a"] + lam_b * model.a * counts_i, has_i),
+        "c": (sums["num_c"], sums["den_c"] + lam_b * model.c * counts_j, has_j),
+        "e": (back[:, 0, -1], back[:, 1, -1], reach),
+        "W": (band[:, 0], band[:, 1], (counts_k > 0)[:, None]),
     }
 
-    new_band = weights.band
-    if mode == "att" and window > 0:
-        # lag m pairs slot k's sums with [Z | e][k - m]; rows k < m stay 0
-        ze = np.column_stack((model.Z, model.e))
-        acc = np.zeros((n_slots, 2, window))
-        for m in range(1, window + 1):
-            acc[m:, :, m - 1] = np.einsum("ksd,kd->ks", slot[m:], ze[:-m])
-        new_band = _mu_step("W", (counts_k > 0)[:, None], new_band, acc[:, 0], acc[:, 1])
+
+@np.errstate(over="ignore", invalid="ignore")
+def nmu_epoch(model: FactorModel, train: "SparseTensor", hp: HyperParams,
+              mode: str = "att", threads: int = 1) -> FactorModel:
+    """Run one full multiplicative update in place and return the model.
+
+    Every group takes theta * num / max(den, DENOM_FLOOR) from the terms of
+    `_mu_terms`; baseline mode skips W. Raises DivergenceError, leaving the
+    model as it was, when a term or an updated group turns non-finite or
+    the updated predictions could overflow.
+    """
+    if train.n_entries == 0:
+        return model  # nothing observed: every entry subset is empty
+    terms = _mu_terms(model, compute_temporal(model), train, hp, threads)
+    if mode != "att":
+        del terms["W"]
+    old = {"S": model.S, "U": model.U, "Z": model.Z, "a": model.a, "c": model.c,
+           "e": model.e, "W": model.weights.band}
+    new = {}
+    for name, (num, den, mask) in terms.items():
+        _ensure_finite(f"accumulator in {name} update", num)
+        _ensure_finite(f"accumulator in {name} update", den)
+        # old * num / max(den, floor) where mask holds, old elsewhere
+        new[name] = np.where(mask, old[name] * num / np.maximum(den, DENOM_FLOOR), old[name])
+        _ensure_finite(f"{name} after the update", new[name])
+    new_band = new.pop("W", model.weights.band)
 
     # nonnegative factors: this bounds every prediction of the updated model
     w_row = 1.0 + new_band.sum(axis=1).max()  # largest row sum of W
@@ -261,7 +262,7 @@ def nmu_epoch(model: FactorModel, train: "SparseTensor", hp: HyperParams,
 
     for name, arr in new.items():
         setattr(model, name, arr)
-    weights.band = new_band
+    model.weights.band = new_band
     return model
 
 
@@ -346,77 +347,32 @@ def analytic_gradient(model: FactorModel, entries, hp: HyperParams, coordinate) 
     """Partial derivative of objective() with respect to one parameter.
 
     Coordinates: ("s", i, d), ("u", j, d), ("z", l, d), ("a", i),
-    ("c", j), ("e", l), ("w", k, l). The z, e and w derivatives carry the
-    chain-rule weight w[k,l] through the temporal contraction; w[k,l] gets
-    both the feature-path and bias-path terms. Intended for verification
-    on small instances, so it favors clarity over vector speed.
+    ("c", j), ("e", l), ("w", k, l). Every multiplicative-update ratio
+    splits the gradient as den - num, so the value is read from the terms
+    nmu_epoch trains with; checking it against finite differences checks
+    those terms.
 
     Raises:
         ValueError: unknown coordinate kind or inadmissible w position.
         IndexError: coordinate index out of range.
     """
-    kind = coordinate[0]
-    w = model.weights.w
-    window = model.weights.window
     n, n_slots, rank = model.n_nodes, model.n_slots, model.rank
-    cache = compute_temporal(model)
-    preds = predict_entries(model, cache, entries.i, entries.j, entries.k)
-    resid = preds - entries.values  # d(eps)/d(x_hat) direction
-    lam, lam_b = hp.lam, hp.lam_b
-
-    if kind == "s":
-        _, i, d = coordinate
-        _check_index(i, n, "node"), _check_index(d, rank, "rank")
-        pos = np.flatnonzero(entries.i == i)
-        terms = resid[pos] * model.U[entries.j[pos], d] * cache.z_hat[entries.k[pos], d]
-        return float(np.sum(terms) + lam * model.S[i, d] * pos.size)
-    if kind == "u":
-        _, j, d = coordinate
-        _check_index(j, n, "node"), _check_index(d, rank, "rank")
-        pos = np.flatnonzero(entries.j == j)
-        terms = resid[pos] * model.S[entries.i[pos], d] * cache.z_hat[entries.k[pos], d]
-        return float(np.sum(terms) + lam * model.U[j, d] * pos.size)
-    if kind == "a":
-        _, i = coordinate
-        _check_index(i, n, "node")
-        pos = np.flatnonzero(entries.i == i)
-        return float(np.sum(resid[pos]) + lam_b * model.a[i] * pos.size)
-    if kind == "c":
-        _, j = coordinate
-        _check_index(j, n, "node")
-        pos = np.flatnonzero(entries.j == j)
-        return float(np.sum(resid[pos]) + lam_b * model.c[j] * pos.size)
-    if kind == "z":
-        _, l, d = coordinate
-        _check_index(l, n_slots, "slot"), _check_index(d, rank, "rank")
-        out = 0.0
-        for k in range(l, min(l + window, n_slots - 1) + 1):
-            pos = np.flatnonzero(entries.k == k)
-            inner = (resid[pos] * model.S[entries.i[pos], d] * model.U[entries.j[pos], d]
-                     + lam * cache.z_hat[k, d])
-            out += w[k, l] * float(np.sum(inner))
-        return out
-    if kind == "e":
-        _, l = coordinate
-        _check_index(l, n_slots, "slot")
-        out = 0.0
-        for k in range(l, min(l + window, n_slots - 1) + 1):
-            pos = np.flatnonzero(entries.k == k)
-            out += w[k, l] * float(np.sum(resid[pos] + lam_b * cache.e_hat[k]))
-        return out
+    groups = {"s": ("S", n, rank), "u": ("U", n, rank), "z": ("Z", n_slots, rank),
+              "a": ("a", n), "c": ("c", n), "e": ("e", n_slots),
+              "w": ("W", n_slots, n_slots)}
+    kind, *index = coordinate
+    if kind not in groups or len(index) != len(groups[kind]) - 1:
+        raise ValueError(f"unknown coordinate {coordinate!r}")
+    group, *bounds = groups[kind]
+    for value, bound in zip(index, bounds):
+        if not (0 <= value < bound):
+            raise IndexError(f"index {value} of {coordinate!r} out of range [0, {bound})")
     if kind == "w":
-        _, k, l = coordinate
-        _check_index(k, n_slots, "slot"), _check_index(l, n_slots, "slot")
-        if l >= k or k - l > window:
+        k, l = index
+        if l >= k or k - l > model.window:
             raise ValueError(f"inadmissible temporal weight coordinate (k={k}, l={l})")
-        pos = np.flatnonzero(entries.k == k)
-        feat = (resid[pos, None] * model.S[entries.i[pos]] * model.U[entries.j[pos]]
-                + lam * cache.z_hat[k]) @ model.Z[l]
-        bias = (resid[pos] + lam_b * cache.e_hat[k]) * model.e[l]
-        return float(np.sum(feat) + np.sum(bias))
-    raise ValueError(f"unknown coordinate kind {kind!r}")
-
-
-def _check_index(value: int, bound: int, what: str) -> None:
-    if not (0 <= value < bound):
-        raise IndexError(f"{what} index {value} out of range [0, {bound})")
+        index = [k, k - l - 1]  # its band slot
+    if entries.n_entries == 0:
+        return 0.0
+    num, den, _ = _mu_terms(model, compute_temporal(model), entries, hp, 1)[group]
+    return float(den[tuple(index)] - num[tuple(index)])

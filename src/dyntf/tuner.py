@@ -67,9 +67,11 @@ class DEAConfig:
             raise ValueError("max_iterations must be >= 1")
         if not (0 <= self.crossover_prob <= 1):
             raise ValueError("crossover_prob must lie in [0, 1]")
+        if not (0 <= self.scale_factor < math.inf):
+            raise ValueError("scale_factor must be finite and nonnegative")
         lo1, hi1, lo2, hi2 = self.bounds
-        if lo1 > hi1 or lo2 > hi2:
-            raise ValueError("bounds must be ordered (min <= max)")
+        if not (0 <= lo1 <= hi1 < math.inf and 0 <= lo2 <= hi2 < math.inf):
+            raise ValueError("bounds must be finite, nonnegative and ordered (min <= max)")
         if self.best_rule not in ("argmin_h", "paper_f"):
             raise ValueError("best_rule must be 'argmin_h' or 'paper_f'")
 

@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 import dyntf
-from dyntf.cli import _write_json, main
+from dyntf.atomic import write_json
+from dyntf.cli import main
 
 
 def run(*argv):
@@ -165,6 +166,31 @@ class TestTrain:
                       "--max-epochs", 5, "--init-scale", "1e200") == 4
 
 
+@pytest.mark.parametrize("command, flags", [
+    pytest.param("generate", ["--noise", "nan"], id="noise-nan"),
+    pytest.param("split", ["--ratios", "nan,1,1"], id="ratios-nan"),
+    pytest.param("train", ["--lambda", 0.1, "--lambda-b", 0.1, "--tol", "nan"], id="tol-nan"),
+    pytest.param("train", ["--lambda", 0.1, "--lambda-b", 0.1, "--init-scale", "inf"],
+                 id="init-scale-inf"),
+    pytest.param("train", ["--adapt", "--bounds", "nan,1,0,1"], id="bounds-nan"),
+    pytest.param("train", ["--adapt", "--bounds", "a,b,c,d"], id="bounds-text"),
+    pytest.param("train", ["--adapt", "--scale-factor", "nan"], id="scale-factor-nan"),
+])
+def test_non_finite_flag_is_usage_error(workspace, capsys, command, flags):
+    ws = workspace
+    required = {
+        "generate": ["--nodes", 5, "--slots", 3, "--density", 0.5, "--out", ws / "g.coo"],
+        "split": ["--input", ws / "data.coo", "--out-train", ws / "a",
+                  "--out-val", ws / "b", "--out-test", ws / "c"],
+        "train": ["--train", ws / "tr.coo", "--val", ws / "va.coo", "--rank", 2,
+                  "--out", ws / "m.json", "--report", ws / "r.json"],
+    }
+    capsys.readouterr()  # drop the workspace's own log lines
+    assert run(command, *required[command], *flags) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+
+
 class TestEvaluate:
     def test_report_schema(self, workspace):
         assert _train(workspace, "--lambda", 0.01, "--lambda-b", 0.01,
@@ -232,6 +258,18 @@ class TestPredict:
 class TestModelSchema:
     def _predict(self, path):
         return run("predict", "--model", path, "--i", 0, "--j", 0, "--k", 0)
+
+    @pytest.mark.parametrize("name", ["n_nodes", "n_slots", "rank"])
+    def test_negative_dimension_is_named(self, tmp_path, capsys, name):
+        # reshape reads -1 as "infer this dimension", so the arrays alone
+        # would still fit
+        m = dyntf.init_positive(3, 2, 1, 0, seed=0)
+        doc = dyntf.model_to_dict(m, dyntf.HyperParams(0.0, 0.0))
+        doc[name] = -1
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps(doc))
+        assert self._predict(path) == 3
+        assert f"'{name}'" in capsys.readouterr().err
 
     def test_top_level_list_is_data_error(self, tmp_path, capsys):
         path = tmp_path / "m.json"
@@ -314,7 +352,7 @@ def _fail_model(path):
 
 
 def _fail_json(path):
-    _write_json(path, {"rmse": 0.5, "bad": object()})
+    write_json(path, {"rmse": 0.5, "bad": object()})
 
 
 @pytest.mark.parametrize("existing", [False, True])

@@ -368,6 +368,12 @@ class TestAnalyticGradient:
         for coord in [("s", 0, 0), ("u", 3, 0), ("z", 2, 0), ("a", 1),
                       ("c", 5), ("e", 0)]:
             assert analytic_gradient(truth, data, hp, coord) == pytest.approx(0.0, abs=1e-12)
+        # no observed entry: the objective is constant, whatever the model
+        m = init_positive(3, 4, 2, 2, seed=5)
+        empty = SparseTensor(3, 4, [], [], [], [])
+        for coord in [("s", 1, 1), ("u", 2, 0), ("z", 3, 1), ("a", 0), ("c", 2),
+                      ("e", 1), ("w", 3, 1)]:
+            assert analytic_gradient(m, empty, HyperParams(0.1, 0.1), coord) == 0.0
 
     def test_matches_finite_differences_small_instance(self):
         data, _ = generate_synthetic(3, 3, 1, 0.6, 0.5, 0.05, seed=2)
@@ -383,11 +389,16 @@ class TestAnalyticGradient:
         m = init_positive(3, 4, 1, 2, seed=0)
         data, _ = generate_synthetic(3, 4, 1, 0.5, 0.5, 0.0, seed=0)
         hp = HyperParams(0.0, 0.0)
-        for coord in [("w", 1, 1), ("w", 0, 1), ("w", 3, 0)]:
+        # the last one is an unknown kind
+        for coord in [("w", 1, 1), ("w", 0, 1), ("w", 3, 0), ("x", 0)]:
             with pytest.raises(ValueError):
                 analytic_gradient(m, data, hp, coord)
 
     def test_out_of_range_coordinate(self):
         m, t = _single_entry_model()
-        with pytest.raises(IndexError):
-            analytic_gradient(m, t, HyperParams(0.0, 0.0), ("s", 5, 0))
+        # a negative index must not wrap around to the end
+        for coord in [("s", 5, 0), ("s", -1, 0), ("s", 0, -1), ("u", -1, 0),
+                      ("u", 0, -1), ("z", -1, 0), ("z", 0, -1), ("a", -1),
+                      ("c", -1), ("e", -1), ("w", -1, 0), ("w", 0, -1)]:
+            with pytest.raises(IndexError):
+                analytic_gradient(m, t, HyperParams(0.0, 0.0), coord)
