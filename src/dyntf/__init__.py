@@ -14,8 +14,8 @@ from .model import (FactorModel, HyperParams, TemporalCache, TemporalWeights,
                     model_from_dict, model_to_dict, objective, predict,
                     predict_entries, save_model)
 from .tensor import (DatasetSplit, DatasetStats, ObservedEntry, SparseTensor,
-                     compute_stats, coo_dumps, generate_synthetic, load_coo,
-                     save_coo, split)
+                     compute_stats, generate_synthetic, load_coo, save_coo,
+                     split)
 from .trainer import (TrainConfig, TrainReport, analytic_gradient, nmu_epoch,
                       train, validation_metrics)
 from .tuner import (DEAConfig, Individual, Swarm, adapt_train, crossover,
@@ -32,7 +32,7 @@ __all__ = [
     "model_from_dict", "model_to_dict", "objective", "predict",
     "predict_entries", "save_model",
     "DatasetSplit", "DatasetStats", "ObservedEntry", "SparseTensor",
-    "compute_stats", "coo_dumps", "generate_synthetic", "load_coo",
+    "compute_stats", "generate_synthetic", "load_coo",
     "save_coo", "split",
     "TrainConfig", "TrainReport", "analytic_gradient", "nmu_epoch",
     "train", "validation_metrics",

@@ -36,10 +36,6 @@ def _log(message: str) -> None:
     print(message, file=sys.stderr)
 
 
-def _load_tensor(path, nodes, slots):
-    return load_coo(path, n_nodes=nodes, n_slots=slots)
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="dyntf",
@@ -97,9 +93,8 @@ def build_parser() -> argparse.ArgumentParser:
     t.add_argument("--seed", type=int, default=0)
     t.add_argument("--out", required=True, help="model JSON output path")
     t.add_argument("--report", required=True, help="report JSON output path")
-    t.add_argument("--threads", type=int, default=1)
-    t.add_argument("--strict-sequential", action="store_true",
-                   help="force the bit-exact single-thread path")
+    t.add_argument("--threads", type=int, default=1,
+                   help="worker threads; the output is the same bytes for every count")
     t.set_defaults(func=cmd_train)
 
     e = sub.add_parser("evaluate", help="score a model file on a test file")
@@ -156,7 +151,7 @@ def _parse_floats(text: str, count: int, flag: str) -> tuple:
 
 def cmd_split(args) -> int:
     ratios = _parse_floats(args.ratios, 3, "--ratios")
-    tensor = _load_tensor(args.input, args.nodes, args.slots)
+    tensor = load_coo(args.input, n_nodes=args.nodes, n_slots=args.slots)
     result = split(tensor, ratios, args.seed)
     save_coo(result.train, args.out_train)
     save_coo(result.validation, args.out_val)
@@ -174,11 +169,9 @@ def cmd_train(args) -> int:
         raise UsageError("fixed training needs both --lambda and --lambda-b (or use --adapt)")
     if args.threads < 1:
         raise UsageError("--threads must be >= 1")
-    if args.strict_sequential and args.threads > 1:
-        raise UsageError("--strict-sequential conflicts with --threads > 1")
 
-    train_set = _load_tensor(args.train_path, args.nodes, args.slots)
-    val_set = _load_tensor(args.val_path, train_set.n_nodes, train_set.n_slots)
+    train_set = load_coo(args.train_path, n_nodes=args.nodes, n_slots=args.slots)
+    val_set = load_coo(args.val_path, n_nodes=train_set.n_nodes, n_slots=train_set.n_slots)
     if val_set.n_entries == 0:
         raise DataError("empty validation set")
 
@@ -197,15 +190,13 @@ def cmd_train(args) -> int:
         tc = TrainConfig(max_epochs=args.max_epochs, tolerance=args.tol, mode=args.mode)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
-    threads = 1 if args.strict_sequential else args.threads
 
     config_echo = {
         "command": "train", "train": str(args.train_path), "val": str(args.val_path),
         "mode": args.mode, "rank": args.rank, "window": window,
         "max_epochs": args.max_epochs, "tol": args.tol,
         "init_scale": args.init_scale, "seed": args.seed,
-        "threads": threads, "strict_sequential": bool(args.strict_sequential),
-        "adapt": bool(args.adapt),
+        "threads": args.threads, "adapt": bool(args.adapt),
     }
     if args.adapt:
         bounds = _parse_floats(args.bounds, 4, "--bounds")
@@ -218,7 +209,7 @@ def cmd_train(args) -> int:
         config_echo.update({"pop": args.pop, "scale_factor": args.scale_factor,
                             "cp": args.cp, "bounds": list(bounds),
                             "best_rule": args.best_rule})
-        fitted, report = adapt_train(model, train_set, val_set, dea, tc, threads=threads)
+        fitted, report = adapt_train(model, train_set, val_set, dea, tc, threads=args.threads)
         hp_out = report.final_hp
     else:
         try:
@@ -226,7 +217,7 @@ def cmd_train(args) -> int:
         except ValueError as exc:
             raise UsageError(str(exc)) from exc
         config_echo.update({"lambda": args.lam, "lambda_b": args.lam_b})
-        fitted, report = train(model, train_set, val_set, hp_out, tc, threads=threads)
+        fitted, report = train(model, train_set, val_set, hp_out, tc, threads=args.threads)
 
     # report before model: a run cut between the two writes leaves no new
     # model without its report
@@ -246,7 +237,7 @@ def cmd_evaluate(args) -> int:
     if args.slots is not None and args.slots != model.n_slots:
         raise DataError(f"dimension mismatch: model has K={model.n_slots}, got --slots {args.slots}")
     try:
-        test = _load_tensor(args.test, model.n_nodes, model.n_slots)
+        test = load_coo(args.test, n_nodes=model.n_nodes, n_slots=model.n_slots)
     except DataError as exc:
         if "out of bounds" in str(exc) or "disagrees" in str(exc):
             raise DataError(f"dimension mismatch between model and test tensor: {exc}") from exc
@@ -254,10 +245,12 @@ def cmd_evaluate(args) -> int:
     if test.n_entries == 0:
         raise DataError("empty test set")
     r, m, h = validation_metrics(model, test)
+    scores = {"rmse": r, "mae": m, "h": h}
+    bad = ", ".join(f"{name}={v}" for name, v in scores.items() if not np.isfinite(v))
+    if bad:
+        raise DataError(f"non-finite test scores ({bad}); the model's errors overflow")
     doc = {
-        "rmse": r,
-        "mae": m,
-        "h": h,
+        **scores,
         "n_test": test.n_entries,
         "config": {"command": "evaluate", "model": str(args.model),
                    "test": str(args.test)},
@@ -269,11 +262,14 @@ def cmd_evaluate(args) -> int:
 
 def cmd_predict(args) -> int:
     model, _hp = load_model(args.model)
-    cache = compute_temporal(model)
+    cell = (args.i, args.j, args.k)
     try:
-        value = predict(model, cache, args.i, args.j, args.k)
+        with np.errstate(over="ignore", invalid="ignore"):
+            value = predict(model, compute_temporal(model), *cell)
     except IndexError as exc:
         raise DataError(str(exc)) from exc
+    if not np.isfinite(value):
+        raise DataError(f"non-finite prediction {value} at cell {cell}; the model overflows")
     print(repr(value))
     return 0
 

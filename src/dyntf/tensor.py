@@ -13,7 +13,6 @@ non-comment line.
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -243,12 +242,6 @@ def _save_coo_stream(tensor: SparseTensor, fh) -> None:
         tensor.i.tolist(), tensor.j.tolist(), tensor.k.tolist(), tensor.values.tolist())]))
 
 
-def coo_dumps(tensor: SparseTensor) -> str:
-    buf = io.StringIO()
-    _save_coo_stream(tensor, buf)
-    return buf.getvalue()
-
-
 def split(tensor: SparseTensor, ratios, seed: int) -> DatasetSplit:
     """Shuffle entries and slice into train / validation / test parts.
 
@@ -265,10 +258,12 @@ def split(tensor: SparseTensor, ratios, seed: int) -> DatasetSplit:
         raise ValueError("ratios must be a triple (train, validation, test)")
     if (r < 0).any():
         raise ValueError("ratios must be nonnegative")
+    n = tensor.n_entries
+    if n and r.max() > np.finfo(float).max / (3 * n):
+        r = r / r.max()  # only the proportions matter; this keeps n * r and its sum finite
     total = float(r.sum())
     if total == 0:
         raise ValueError("ratio sum zero")
-    n = tensor.n_entries
     if n == 0:
         raise ValueError("empty tensor")
     n_val = int(np.floor(n * r[1] / total))

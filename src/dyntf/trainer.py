@@ -16,8 +16,9 @@ difference check of it checks the code that trains.
 The accumulation is a reduction over observed entries. Entries are
 processed in fixed-size chunks whose partial sums are combined in chunk
 order, so the result is bit-identical whether chunks run on one thread or
-several; `threads` only controls how many chunks are in flight. The chunk
-size is a constant, never derived from `threads` or the machine, because
+several. `_ordered_map`, the one place dyntf starts threads (the tuner's
+swarm uses it too), runs them; `threads` only sets how many are in flight.
+The chunk size is a constant, never derived from `threads` or the machine:
 the chunk grid fixes the summation order and so the bytes of the model.
 Its value, 8192 entries, came from a sweep of 4096/8192/16384 on a
 2000-node rank-20 tensor and a 2000-slot rank-10 one at 1 and 2 threads:
@@ -136,17 +137,21 @@ def _chunk_sums(model, cache, data, lo, hi):
     return sums
 
 
+def _ordered_map(fn, items, threads):
+    """Yield fn(item) for every item, in item order; the calls run on a pool
+    of `threads` workers only when threads > 1 and there are several items."""
+    if threads > 1 and len(items) > 1:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            yield from pool.map(fn, items)
+    else:
+        yield from map(fn, items)
+
+
 def _epoch_sums(model, cache, data, threads):
     bounds = [(lo, min(lo + _CHUNK, data.n_entries))
               for lo in range(0, data.n_entries, _CHUNK)]
-
-    def chunk(b):
-        return _chunk_sums(model, cache, data, *b)
-
-    if threads > 1 and len(bounds) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return _merge_in_order(pool.map(chunk, bounds))
-    return _merge_in_order(map(chunk, bounds))
+    return _merge_in_order(_ordered_map(lambda b: _chunk_sums(model, cache, data, *b),
+                                        bounds, threads))
 
 
 def _merge_in_order(parts):

@@ -20,8 +20,9 @@ consecutive-H difference
 
 with H(v_0) taken as H_prev, the last individual's H from the previous
 iteration, and sweeps p = 1..P replacing tau whenever F_p > F_{p-1}
-(F_0 = 0). When the F denominator is zero the fitness is undefined and
-that iteration falls back to argmin_h.
+(F_0 = 0). When the F denominator is zero the fitness is undefined:
+`paper_fitness` returns None and `update_best` applies argmin_h for that
+iteration.
 
 RNG is split into one stream per individual derived from the master
 seed, so concurrent and sequential evaluation schedules draw identical
@@ -34,13 +35,13 @@ which records the iteration-best scores, stops and builds the report.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .model import FactorModel, HyperParams
-from .trainer import TrainConfig, TrainReport, _run_epochs, nmu_epoch, validation_metrics
+from .trainer import (TrainConfig, TrainReport, _ordered_map, _run_epochs, nmu_epoch,
+                      validation_metrics)
 
 
 @dataclass
@@ -84,9 +85,6 @@ class Individual:
     model: FactorModel = field(repr=False)
     rng: np.random.Generator = field(repr=False)
     h_current: float | None = None
-    fitness: float | None = None
-    rmse_current: float | None = None
-    mae_current: float | None = None
 
     def hyperparams(self) -> HyperParams:
         return HyperParams(lam=float(self.v[0]), lam_b=float(self.v[1]))
@@ -97,7 +95,6 @@ class Swarm:
     individuals: list[Individual]
     tau: np.ndarray
     tau_h: float
-    iteration: int = 0
 
 
 def init_swarm(config: DEAConfig, template: FactorModel) -> Swarm:
@@ -116,8 +113,7 @@ def init_swarm(config: DEAConfig, template: FactorModel) -> Swarm:
         theta = rng.random(2)
         v = np.array([lo1 + theta[0] * (hi1 - lo1), lo2 + theta[1] * (hi2 - lo2)])
         individuals.append(Individual(v=v, model=template.copy(), rng=rng))
-    return Swarm(individuals=individuals, tau=individuals[0].v.copy(),
-                 tau_h=math.inf, iteration=0)
+    return Swarm(individuals=individuals, tau=individuals[0].v.copy(), tau_h=math.inf)
 
 
 def mutate_and_bound(swarm: Swarm, p: int, config: DEAConfig) -> np.ndarray:
@@ -128,8 +124,10 @@ def mutate_and_bound(swarm: Swarm, p: int, config: DEAConfig) -> np.ndarray:
     others = [q for q in range(len(swarm.individuals)) if q != p]
     pick = ind.rng.choice(len(others), size=2, replace=False)
     r1, r2 = others[pick[0]], others[pick[1]]
-    candidate = swarm.tau + config.scale_factor * (swarm.individuals[r1].v
-                                                   - swarm.individuals[r2].v)
+    # a step past the float range is +-inf, which the clamp maps onto a bound
+    with np.errstate(over="ignore"):
+        candidate = swarm.tau + config.scale_factor * (swarm.individuals[r1].v
+                                                       - swarm.individuals[r2].v)
     lo1, hi1, lo2, hi2 = config.bounds
     candidate[0] = min(max(candidate[0], lo1), hi1)
     candidate[1] = min(max(candidate[1], lo2), hi2)
@@ -149,18 +147,15 @@ def crossover(previous: np.ndarray, mutant: np.ndarray, config: DEAConfig,
 
 
 def evaluate_individual(individual: Individual, train, validation,
-                        mode: str = "att") -> float:
-    """One epoch on the individual's private model, then validation H.
-
-    Stores h_current (and the underlying rmse/mae) on the individual and
-    returns H.
+                        mode: str = "att") -> tuple[float, float, float]:
+    """One epoch on the individual's private model, then its validation
+    (rmse, mae, h), which it returns. H is also kept as h_current, for
+    update_best and for on_iteration watchers.
     """
     nmu_epoch(individual.model, train, individual.hyperparams(), mode=mode)
-    r, m, h = validation_metrics(individual.model, validation)
-    individual.rmse_current = r
-    individual.mae_current = m
-    individual.h_current = h
-    return h
+    scores = validation_metrics(individual.model, validation)
+    individual.h_current = scores[2]
+    return scores
 
 
 def paper_fitness(h_values, h_last: float) -> np.ndarray | None:
@@ -174,23 +169,23 @@ def paper_fitness(h_values, h_last: float) -> np.ndarray | None:
     return (h - prev) / denom
 
 
-def update_best(swarm: Swarm, config: DEAConfig) -> np.ndarray:
+def update_best(swarm: Swarm, fitness=None) -> np.ndarray:
     """Refresh tau from the evaluated individuals and return it.
 
-    Under paper_f every individual must carry a fitness value; if any is
-    None (undefined fitness this iteration) the argmin_h rule is applied
-    instead, as documented.
+    With `fitness`, one value per individual (paper_fitness), the paper
+    sweep replaces tau at every individual whose fitness exceeds the one
+    before it (starting from 0). Without it, as under argmin_h or when
+    paper_fitness is undefined, tau moves to the lowest h_current if that
+    beats tau_h.
     """
     inds = swarm.individuals
-    use_paper = (config.best_rule == "paper_f"
-                 and all(ind.fitness is not None for ind in inds))
-    if use_paper:
+    if fitness is not None:
         f_prev = 0.0
-        for ind in inds:
-            if ind.fitness > f_prev:
+        for ind, f in zip(inds, fitness):
+            if f > f_prev:
                 swarm.tau = ind.v.copy()
                 swarm.tau_h = ind.h_current
-            f_prev = ind.fitness
+            f_prev = f
     else:
         best = min(range(len(inds)), key=lambda q: inds[q].h_current)
         if inds[best].h_current < swarm.tau_h:
@@ -220,8 +215,8 @@ def adapt_train(template: FactorModel, train, validation, dea: DEAConfig,
 
     Args:
         template: starting parameters, copied into each individual.
-        threads: individuals evaluated concurrently when > 1 (results are
-            schedule-independent; each replica is private).
+        threads: how many individuals are evaluated at once; each replica
+            is private, so the thread count changes no result.
     """
     if validation.n_entries == 0:
         raise ValueError("empty validation set")
@@ -233,34 +228,25 @@ def adapt_train(template: FactorModel, train, validation, dea: DEAConfig,
 
     def step():
         nonlocal h_last
-        swarm.iteration += 1
-        if threads > 1:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                list(pool.map(lambda ind: evaluate_individual(ind, train, validation,
-                                                              mode=tc.mode),
-                              swarm.individuals))
-        else:
-            for ind in swarm.individuals:
-                evaluate_individual(ind, train, validation, mode=tc.mode)
-        h_values = [ind.h_current for ind in swarm.individuals]
+        scores = list(_ordered_map(
+            lambda ind: evaluate_individual(ind, train, validation, mode=tc.mode),
+            swarm.individuals, threads))
+        h_values = [h for _, _, h in scores]
 
         # next-iteration vectors come from the evaluated population snapshot
         trials = [crossover(ind.v, mutate_and_bound(swarm, p, dea), dea, ind.rng)
                   for p, ind in enumerate(swarm.individuals)]
-        if dea.best_rule == "paper_f":
-            fit = paper_fitness(h_values, h_last)
-            for p, ind in enumerate(swarm.individuals):
-                ind.fitness = None if fit is None else float(fit[p])
-        update_best(swarm, dea)
+        update_best(swarm, paper_fitness(h_values, h_last)
+                    if dea.best_rule == "paper_f" else None)
         if on_iteration is not None:
             on_iteration(swarm)
 
         for ind, trial in zip(swarm.individuals, trials):
             ind.v = trial
         h_last = h_values[-1]
-        best = swarm.individuals[int(np.argmin(h_values))]
-        watched = best.h_current if dea.best_rule == "argmin_h" else swarm.tau_h
-        return best.rmse_current, best.mae_current, best.h_current, watched
+        best = scores[int(np.argmin(h_values))]
+        watched = best[2] if dea.best_rule == "argmin_h" else swarm.tau_h
+        return *best, watched
 
     report = _run_epochs(step, min(dea.max_iterations, tc.max_epochs), tc.tolerance,
                          lambda: HyperParams(lam=float(swarm.tau[0]),

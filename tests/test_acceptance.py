@@ -220,7 +220,7 @@ def test_criterion_7_dea_closure_and_monotonicity():
 
 
 def test_criterion_8_determinism(tmp_path, monkeypatch):
-    """Strict-sequential reruns and a 4-thread run write identical bytes."""
+    """Single-thread reruns and a 4-thread run write identical bytes."""
     # the fixture's ~1750 training entries would fit one chunk; a small
     # chunk makes the 4-thread run really spread over the pool
     monkeypatch.setattr(dyntf.trainer, "_CHUNK", 256)
@@ -237,14 +237,14 @@ def test_criterion_8_determinism(tmp_path, monkeypatch):
                 "--report", str(tmp_path / f"r_{tag}.json"), *extra]
         assert cli_main(argv) == 0
 
-    run_train("seq1", "--strict-sequential")
-    run_train("seq2", "--strict-sequential")
+    run_train("seq1", "--threads", "1")
+    run_train("seq2", "--threads", "1")
     assert (tmp_path / "m_seq1.json").read_bytes() == (tmp_path / "m_seq2.json").read_bytes()
     assert (tmp_path / "r_seq1.json").read_bytes() == (tmp_path / "r_seq2.json").read_bytes()
 
     run_train("thr", "--threads", "4")
     assert (tmp_path / "m_thr.json").read_bytes() == (tmp_path / "m_seq1.json").read_bytes()
-    _report(8, "strict-sequential reruns byte-identical; 4-thread model "
+    _report(8, "single-thread reruns byte-identical; 4-thread model "
                "byte-identical to the sequential one")
 
 

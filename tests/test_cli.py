@@ -137,8 +137,9 @@ class TestTrain:
     def test_flag_conflicts(self, workspace):
         assert _train(workspace, "--adapt", "--lambda", 0.1, "--lambda-b", 0.1) == 2
         assert _train(workspace, "--lambda", 0.1) == 2  # missing --lambda-b
+        # the flag is gone: --threads 1 is the sequential run
         assert _train(workspace, "--lambda", 0.1, "--lambda-b", 0.1,
-                      "--strict-sequential", "--threads", 4) == 2
+                      "--strict-sequential") == 2
         assert _train(workspace, "--lambda", -0.1, "--lambda-b", 0.1) == 2
         assert _train(workspace, "--adapt", "--pop", 2) == 2
         assert _train(workspace, "--lambda", 0.1, "--lambda-b", 0.1,
@@ -255,6 +256,25 @@ class TestPredict:
         assert "out of range" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, named", [("evaluate", "rmse=inf"),
+                                            ("predict", "at cell (0, 1, 0)")])
+def test_overflowing_model_output_is_data_error(tmp_path, capsys, command, named):
+    # every prediction is 1e320 plus biases: finite factors, infinite output
+    m = dyntf.FactorModel(
+        S=np.full((3, 1), 1e160), U=np.full((3, 1), 1e160), Z=np.ones((2, 1)),
+        a=np.ones(3), c=np.ones(3), e=np.ones(2),
+        weights=dyntf.TemporalWeights(band=np.zeros((2, 0)), window=0))
+    dyntf.save_model(m, dyntf.HyperParams(0.0, 0.0), tmp_path / "m.json")
+    (tmp_path / "te.coo").write_text("%dims 3 3 2\n0 1 0 1.0\n2 0 1 2.0\n")
+    args = {"evaluate": ["--test", tmp_path / "te.coo", "--report", tmp_path / "ev.json"],
+            "predict": ["--i", 0, "--j", 1, "--k", 0]}[command]
+    assert run(command, "--model", tmp_path / "m.json", *args) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.count("\n") == 1 and err.startswith("error: non-finite") and named in err
+    assert sorted(os.listdir(tmp_path)) == ["m.json", "te.coo"]
+
+
 class TestModelSchema:
     def _predict(self, path):
         return run("predict", "--model", path, "--i", 0, "--j", 0, "--k", 0)
@@ -320,7 +340,7 @@ def test_overflowing_validation_score_diverges_in_first_epoch(tmp_path, capsys):
 def test_strict_sequential_reruns_byte_identical(workspace):
     for suffix in ("1", "2"):
         assert _train(workspace, "--lambda", 0.01, "--lambda-b", 0.01,
-                      "--max-epochs", 15, "--strict-sequential",
+                      "--max-epochs", 15, "--threads", 1,
                       out=f"m{suffix}.json", report=f"r{suffix}.json") == 0
     assert (workspace / "m1.json").read_bytes() == (workspace / "m2.json").read_bytes()
     assert (workspace / "r1.json").read_bytes() == (workspace / "r2.json").read_bytes()

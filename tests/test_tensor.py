@@ -296,6 +296,15 @@ class TestSplit:
         with pytest.raises(ValueError, match="nonnegative"):
             split(small_tensor, (7, -1, 2), seed=0)
 
+    def test_huge_ratios_keep_proportions(self, small_tensor):
+        # n * 1e308 overflows; only the proportions may matter
+        a = split(small_tensor, (1e308, 1e308, 1e308), seed=0)
+        b = split(small_tensor, (1, 1, 1), seed=0)
+        for part in ("train", "validation", "test"):
+            assert getattr(a, part).entries == getattr(b, part).entries
+        with pytest.raises(ValueError, match="empty split part"):
+            split(small_tensor, (7, 1e308, 2), seed=0)
+
     def test_empty_tensor_rejected(self):
         t = SparseTensor(2, 2, [], [], [], [])
         with pytest.raises(ValueError, match="empty tensor"):

@@ -110,6 +110,15 @@ class TestMutateAndBound:
         # raw candidate (-0.65, -0.65) clamps to the lower bounds
         assert np.array_equal(got, np.array([0.1, 0.1]))
 
+    def test_overflowing_step_clamps_without_warning(self):
+        # 1e308 * (1e308 - 1) overflows to +inf in the first component
+        rng = _StubRng(choice=[0, 1])
+        swarm = _vector_swarm([(0.9, 0.9), (1e308, 0.4), (1.0, 0.2)],
+                              tau=(0.1, 0.2), rngs=[rng, None, None])
+        cfg = DEAConfig(population=4, scale_factor=1e308, bounds=(0.0, 1e308, 0.0, 1.0))
+        got = mutate_and_bound(swarm, 0, cfg)  # a RuntimeWarning fails the suite
+        assert np.array_equal(got, np.array([1e308, 1.0]))
+
     def test_donors_never_include_target(self):
         template = init_positive(4, 3, 1, 0, seed=0)
         swarm = init_swarm(DEAConfig(population=5, seed=7), template)
@@ -151,17 +160,18 @@ class TestEvaluateIndividual:
         sp = dyntf.split(data, (7, 1, 2), seed=21)
         ind = Individual(v=np.array([0.0, 0.0]), model=truth.copy(),
                          rng=np.random.default_rng(0))
-        h = evaluate_individual(ind, sp.train, sp.validation)
+        r, m, h = evaluate_individual(ind, sp.train, sp.validation)
         assert h <= 1e-12
         assert ind.h_current == h
-        assert ind.rmse_current <= 1e-12 and ind.mae_current <= 1e-12
+        assert r <= 1e-12 and m <= 1e-12
 
     def test_h_matches_metric_identity(self, fixture_split):
         ind = Individual(v=np.array([0.01, 0.01]),
                          model=init_positive(50, 20, 2, 19, seed=2),
                          rng=np.random.default_rng(0))
-        h = evaluate_individual(ind, fixture_split.train, fixture_split.validation)
-        assert h == (ind.rmse_current + ind.mae_current) / 2.0
+        r, m, h = evaluate_individual(ind, fixture_split.train, fixture_split.validation)
+        assert h == (r + m) / 2.0
+        assert ind.h_current == h
 
 
 class TestPaperFitness:
@@ -183,7 +193,7 @@ class TestUpdateBest:
                               tau=(0.9, 0.9), tau_h=0.25)
         for ind, h in zip(swarm.individuals, (0.3, 0.2, 0.4)):
             ind.h_current = h
-        update_best(swarm, DEAConfig(population=4))
+        update_best(swarm)
         assert np.array_equal(swarm.tau, np.array([0.2, 0.2]))
         assert swarm.tau_h == 0.2
 
@@ -191,17 +201,16 @@ class TestUpdateBest:
         swarm = _vector_swarm([(0.1, 0.1), (0.2, 0.2)], tau=(0.9, 0.9), tau_h=0.25)
         for ind, h in zip(swarm.individuals, (0.3, 0.4)):
             ind.h_current = h
-        update_best(swarm, DEAConfig(population=4))
+        update_best(swarm)
         assert np.array_equal(swarm.tau, np.array([0.9, 0.9]))
         assert swarm.tau_h == 0.25
 
     def test_paper_rule_strict_increase_sweep(self):
         # F = (0.5, 0.5): only the first comparison (against 0) fires
         swarm = _vector_swarm([(0.1, 0.1), (0.2, 0.2)], tau=(0.9, 0.9), tau_h=1.0)
-        for ind, h, f in zip(swarm.individuals, (0.8, 0.6), (0.5, 0.5)):
+        for ind, h in zip(swarm.individuals, (0.8, 0.6)):
             ind.h_current = h
-            ind.fitness = f
-        update_best(swarm, DEAConfig(population=4, best_rule="paper_f"))
+        update_best(swarm, [0.5, 0.5])
         assert np.array_equal(swarm.tau, np.array([0.1, 0.1]))
         assert swarm.tau_h == 0.8
 
@@ -209,8 +218,8 @@ class TestUpdateBest:
         swarm = _vector_swarm([(0.1, 0.1), (0.2, 0.2)], tau=(0.9, 0.9), tau_h=1.0)
         for ind, h in zip(swarm.individuals, (0.8, 0.6)):
             ind.h_current = h
-            ind.fitness = None
-        update_best(swarm, DEAConfig(population=4, best_rule="paper_f"))
+        # paper_fitness gives None when its denominator is zero
+        update_best(swarm, paper_fitness([0.8, 0.6], h_last=0.6))
         assert np.array_equal(swarm.tau, np.array([0.2, 0.2]))
         assert swarm.tau_h == 0.6
 
@@ -278,13 +287,14 @@ class TestAdaptTrain:
         assert reports[0].per_epoch_h == reports[1].per_epoch_h
         assert reports[0].final_hp == reports[1].final_hp
 
-    def test_threaded_evaluation_matches_sequential(self, fixture_split):
+    @pytest.mark.parametrize("best_rule", ["argmin_h", "paper_f"])
+    def test_threaded_evaluation_matches_sequential(self, fixture_split, best_rule):
         reports, model_bytes = [], []
         for threads in (1, 3):
             template = init_positive(50, 20, 2, 19, seed=5)
             model, rep = adapt_train(template, fixture_split.train,
                                      fixture_split.validation,
-                                     DEAConfig(population=5, seed=31),
+                                     DEAConfig(population=5, seed=31, best_rule=best_rule),
                                      TrainConfig(max_epochs=5, tolerance=0.0),
                                      threads=threads)
             reports.append(rep)
