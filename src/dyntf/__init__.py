@@ -8,7 +8,7 @@ evolution swarm.
 """
 
 from .errors import DataError, DivergenceError
-from .metrics import MetricSeries, convergence_rounds, h_score, mae, rmse
+from .metrics import convergence_rounds, h_score, mae, rmse
 from .model import (FactorModel, HyperParams, TemporalCache, TemporalWeights,
                     band_indices, compute_temporal, init_positive, load_model,
                     model_from_dict, model_to_dict, objective, predict,
@@ -26,7 +26,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "DataError", "DivergenceError",
-    "MetricSeries", "convergence_rounds", "h_score", "mae", "rmse",
+    "convergence_rounds", "h_score", "mae", "rmse",
     "FactorModel", "HyperParams", "TemporalCache", "TemporalWeights",
     "band_indices", "compute_temporal", "init_positive", "load_model",
     "model_from_dict", "model_to_dict", "objective", "predict",

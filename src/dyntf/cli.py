@@ -36,6 +36,17 @@ def _log(message: str) -> None:
     print(message, file=sys.stderr)
 
 
+def _seed(text: str) -> int:
+    """Type of every --seed flag: a nonnegative integer, the seeds numpy accepts."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be a nonnegative integer, got {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="dyntf",
@@ -50,7 +61,7 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--ar", type=float, default=0.9,
                    help="temporal autocorrelation of the ground-truth Z, in [0,1)")
     g.add_argument("--noise", type=float, default=0.01, help="observation noise scale")
-    g.add_argument("--seed", type=int, default=0)
+    g.add_argument("--seed", type=_seed, default=0)
     g.add_argument("--out", required=True, help="COO output path")
     g.add_argument("--truth-out", help="optional ground-truth model JSON path")
     g.set_defaults(func=cmd_generate)
@@ -58,7 +69,7 @@ def build_parser() -> argparse.ArgumentParser:
     s = sub.add_parser("split", help="partition a COO file into train/validation/test")
     s.add_argument("--input", required=True)
     s.add_argument("--ratios", default="7,1,2", help="comma-separated triple, default 7,1,2")
-    s.add_argument("--seed", type=int, default=0)
+    s.add_argument("--seed", type=_seed, default=0)
     s.add_argument("--nodes", type=int, help="N when the file has no %%dims header")
     s.add_argument("--slots", type=int, help="K when the file has no %%dims header")
     s.add_argument("--out-train", required=True)
@@ -90,7 +101,7 @@ def build_parser() -> argparse.ArgumentParser:
     t.add_argument("--bounds", default="1e-4,0.5,1e-4,0.5",
                    help="lam_min,lam_max,lam_b_min,lam_b_max")
     t.add_argument("--best-rule", choices=("argmin_h", "paper_f"), default="argmin_h")
-    t.add_argument("--seed", type=int, default=0)
+    t.add_argument("--seed", type=_seed, default=0)
     t.add_argument("--out", required=True, help="model JSON output path")
     t.add_argument("--report", required=True, help="report JSON output path")
     t.add_argument("--threads", type=int, default=1,
@@ -100,8 +111,6 @@ def build_parser() -> argparse.ArgumentParser:
     e = sub.add_parser("evaluate", help="score a model file on a test file")
     e.add_argument("--model", required=True)
     e.add_argument("--test", required=True)
-    e.add_argument("--nodes", type=int, help="N when the file has no %%dims header")
-    e.add_argument("--slots", type=int, help="K when the file has no %%dims header")
     e.add_argument("--report", required=True)
     e.set_defaults(func=cmd_evaluate)
 
@@ -115,18 +124,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_generate(args) -> int:
-    if not (0 < args.density <= 1):
-        raise UsageError("density must be in (0,1]")
-    if not (0 <= args.ar < 1):
-        raise UsageError("--ar must lie in [0,1)")
-    if not (0 <= args.noise < np.inf):
-        raise UsageError("--noise must be finite and nonnegative")
-    if args.nodes < 1 or args.slots < 1 or args.rank < 1:
-        raise UsageError("--nodes, --slots and --rank must be >= 1")
-    tensor, truth = generate_synthetic(
-        n_nodes=args.nodes, n_slots=args.slots, true_rank=args.rank,
-        density=args.density, temporal_correlation=args.ar,
-        noise_scale=args.noise, seed=args.seed)
+    try:
+        tensor, truth = generate_synthetic(
+            n_nodes=args.nodes, n_slots=args.slots, true_rank=args.rank,
+            density=args.density, temporal_correlation=args.ar,
+            noise_scale=args.noise, seed=args.seed)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
     save_coo(tensor, args.out)
     if args.truth_out:
         save_model(truth, HyperParams(0.0, 0.0), args.truth_out, extra={
@@ -172,22 +176,25 @@ def cmd_train(args) -> int:
 
     train_set = load_coo(args.train_path, n_nodes=args.nodes, n_slots=args.slots)
     val_set = load_coo(args.val_path, n_nodes=train_set.n_nodes, n_slots=train_set.n_slots)
-    if val_set.n_entries == 0:
-        raise DataError("empty validation set")
 
     window = args.window
     if args.mode == "baseline":
         window = 0  # temporal weights stay identity
     elif window is None:
         window = train_set.n_slots - 1
-    if not (0 <= window <= train_set.n_slots - 1):
-        raise UsageError(f"--window must lie in [0, {train_set.n_slots - 1}]")
 
     init_ss, dea_ss = np.random.SeedSequence(args.seed).spawn(2)
     try:
         model = init_positive(train_set.n_nodes, train_set.n_slots, args.rank,
                               window, init_ss, scale=args.init_scale)
         tc = TrainConfig(max_epochs=args.max_epochs, tolerance=args.tol, mode=args.mode)
+        if args.adapt:
+            bounds = _parse_floats(args.bounds, 4, "--bounds")
+            dea = DEAConfig(population=args.pop, scale_factor=args.scale_factor,
+                            crossover_prob=args.cp, bounds=bounds,
+                            best_rule=args.best_rule, seed=dea_ss)
+        else:
+            hp_out = HyperParams(lam=args.lam, lam_b=args.lam_b)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
 
@@ -199,23 +206,12 @@ def cmd_train(args) -> int:
         "threads": args.threads, "adapt": bool(args.adapt),
     }
     if args.adapt:
-        bounds = _parse_floats(args.bounds, 4, "--bounds")
-        try:
-            dea = DEAConfig(population=args.pop, max_iterations=args.max_epochs,
-                            scale_factor=args.scale_factor, crossover_prob=args.cp,
-                            bounds=bounds, best_rule=args.best_rule, seed=dea_ss)
-        except ValueError as exc:
-            raise UsageError(str(exc)) from exc
         config_echo.update({"pop": args.pop, "scale_factor": args.scale_factor,
                             "cp": args.cp, "bounds": list(bounds),
                             "best_rule": args.best_rule})
         fitted, report = adapt_train(model, train_set, val_set, dea, tc, threads=args.threads)
         hp_out = report.final_hp
     else:
-        try:
-            hp_out = HyperParams(lam=args.lam, lam_b=args.lam_b)
-        except ValueError as exc:
-            raise UsageError(str(exc)) from exc
         config_echo.update({"lambda": args.lam, "lambda_b": args.lam_b})
         fitted, report = train(model, train_set, val_set, hp_out, tc, threads=args.threads)
 
@@ -232,10 +228,6 @@ def cmd_train(args) -> int:
 
 def cmd_evaluate(args) -> int:
     model, _hp = load_model(args.model)
-    if args.nodes is not None and args.nodes != model.n_nodes:
-        raise DataError(f"dimension mismatch: model has N={model.n_nodes}, got --nodes {args.nodes}")
-    if args.slots is not None and args.slots != model.n_slots:
-        raise DataError(f"dimension mismatch: model has K={model.n_slots}, got --slots {args.slots}")
     try:
         test = load_coo(args.test, n_nodes=model.n_nodes, n_slots=model.n_slots)
     except DataError as exc:

@@ -1,12 +1,12 @@
 """Prediction-error metrics and convergence-round bookkeeping.
 
-All metric functions take a sequence of (actual, predicted) pairs and are
+The metric functions take a sequence of (actual, predicted) pairs;
+`convergence_rounds` takes a per-epoch trace and its tolerance. All are
 pure: no state, safe for concurrent use.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -41,24 +41,16 @@ def h_score(pairs) -> float:
     return (rmse(pairs) + mae(pairs)) / 2.0
 
 
-@dataclass
-class MetricSeries:
-    """A per-epoch metric trace plus the tolerance used to call it converged."""
-
-    values: Sequence[float]
-    threshold: float
-
-
-def convergence_rounds(series: MetricSeries) -> int:
+def convergence_rounds(values: Sequence[float], threshold: float) -> int:
     """First epoch at which the consecutive change drops below the threshold.
 
     Returns the smallest t >= 2 (1-based) with |values[t] - values[t-1]| <
     threshold, or the series length if no consecutive pair gets that close.
     """
-    vals = list(series.values)
+    vals = list(values)
     if not vals:
         raise ValueError("series must be non-empty")
     for t in range(2, len(vals) + 1):
-        if abs(vals[t - 1] - vals[t - 2]) < series.threshold:
+        if abs(vals[t - 1] - vals[t - 2]) < threshold:
             return t
     return len(vals)

@@ -37,11 +37,15 @@ from .atomic import write_json
 @dataclass
 class TemporalWeights:
     """Lower-triangular mixing weights stored by band, band[k, m - 1] =
-    w[k, k - m]. Invariants: shape (K, window) with window in [0, K-1],
-    every entry nonnegative and finite, and exactly 0 where k < m."""
+    w[k, k - m]. The band's width is the window. Invariants: window in
+    [0, K-1], every entry nonnegative and finite, and exactly 0 where
+    k < m."""
 
     band: np.ndarray
-    window: int
+
+    @property
+    def window(self) -> int:
+        return self.band.shape[1]
 
     @property
     def w(self) -> np.ndarray:
@@ -67,8 +71,6 @@ class TemporalWeights:
         band, window = self.band, self.window
         if not (0 <= window <= max(band.shape[0] - 1, 0)):
             raise ValueError("window must lie in [0, K-1]")
-        if band.shape != (band.shape[0], window):
-            raise ValueError("temporal weight band must be K x window")
         if not np.isfinite(band).all() or (band < 0).any():
             raise ValueError("temporal weights must be nonnegative and finite")
         if np.triu(band[:window]).any():
@@ -134,7 +136,7 @@ class FactorModel:
             a=self.a.copy(),
             c=self.c.copy(),
             e=self.e.copy(),
-            weights=TemporalWeights(self.weights.band.copy(), self.weights.window),
+            weights=TemporalWeights(self.weights.band.copy()),
         )
 
     def validate(self) -> None:
@@ -184,7 +186,7 @@ def init_positive(n_nodes: int, n_slots: int, rank: int, window: int,
     if not (0 < scale < np.inf):
         raise ValueError("scale must be positive and finite")
     if not (0 <= window <= max(n_slots - 1, 0)):
-        raise ValueError("window must lie in [0, K-1]")
+        raise ValueError(f"window must lie in [0, {max(n_slots - 1, 0)}]")
     rng = np.random.default_rng(seed)
 
     def positive(*shape):
@@ -201,7 +203,7 @@ def init_positive(n_nodes: int, n_slots: int, rank: int, window: int,
     ks, ls = band_indices(n_slots, window)
     band[ks, ks - ls - 1] = positive(ks.size)
     return FactorModel(S=s, U=u, Z=z, a=a, c=c, e=e,
-                       weights=TemporalWeights(band=band, window=window))
+                       weights=TemporalWeights(band=band))
 
 
 def compute_temporal(model: FactorModel) -> TemporalCache:
@@ -310,7 +312,7 @@ def model_from_dict(doc: dict) -> tuple[FactorModel, HyperParams]:
     model = FactorModel(
         S=field("S", float, n, d), U=field("U", float, n, d), Z=field("Z", float, k, d),
         a=field("a", float, n), c=field("c", float, n), e=e,
-        weights=TemporalWeights(band=band, window=window),
+        weights=TemporalWeights(band=band),
     )
     model.validate()
     return model, HyperParams(lam=field("lambda", float), lam_b=field("lambda_b", float))

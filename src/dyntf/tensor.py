@@ -97,8 +97,6 @@ class DatasetSplit:
     train: SparseTensor
     validation: SparseTensor
     test: SparseTensor
-    seed: int
-    ratios: tuple[float, float, float]
 
 
 @dataclass
@@ -278,8 +276,6 @@ def split(tensor: SparseTensor, ratios, seed: int) -> DatasetSplit:
         train=tensor.take(parts[0]),
         validation=tensor.take(parts[1]),
         test=tensor.take(parts[2]),
-        seed=seed,
-        ratios=(float(r[0]), float(r[1]), float(r[2])),
     )
 
 
@@ -330,18 +326,20 @@ def generate_synthetic(n_nodes: int, n_slots: int, true_rank: int, density: floa
         identity temporal weights (window 0).
 
     Raises:
-        ValueError: density outside (0, 1] or a requested entry count of 0.
+        ValueError: n_nodes, n_slots or true_rank below 1, density outside
+            (0, 1] or rounding to 0 entries, temporal_correlation outside
+            [0, 1), or noise_scale negative or non-finite.
     """
+    if n_nodes < 1 or n_slots < 1 or true_rank < 1:
+        raise ValueError("n_nodes, n_slots and true_rank must be >= 1")
+    if not (0 < density <= 1):
+        raise ValueError("density must be in (0,1]")
     if not (0 <= temporal_correlation < 1):
         raise ValueError("temporal_correlation must lie in [0, 1)")
     if not (0 <= noise_scale < np.inf):
         raise ValueError("noise_scale must be finite and nonnegative")
-    if true_rank < 1:
-        raise ValueError("true_rank must be >= 1")
     total = n_nodes * n_nodes * n_slots
     count = int(round(density * total))
-    if count > total:
-        raise ValueError(f"requested observed count {count} exceeds N^2*K = {total}")
     if count < 1:
         raise ValueError("density too small: no entries would be generated")
 
@@ -360,7 +358,7 @@ def generate_synthetic(n_nodes: int, n_slots: int, true_rank: int, density: floa
     e = rng.uniform(0.05, 0.25, size=n_slots)
 
     truth = FactorModel(S=s, U=u, Z=z, a=a, c=c, e=e,
-                        weights=TemporalWeights(band=np.zeros((n_slots, 0)), window=0))
+                        weights=TemporalWeights(band=np.zeros((n_slots, 0))))
 
     pos = _sample_positions(rng, total, count)
     per_node = n_nodes * n_slots

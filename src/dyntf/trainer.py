@@ -39,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DivergenceError
-from .metrics import MetricSeries, convergence_rounds, mae, rmse
+from .metrics import convergence_rounds, mae, rmse
 from .model import (FactorModel, HyperParams, compute_temporal, predict_entries,
                     predict_rows)
 
@@ -315,8 +315,8 @@ def _run_epochs(step, cap, tolerance, final_hp, tuner=None) -> TrainReport:
         per_epoch_rmse=rmse_trace,
         per_epoch_mae=mae_trace,
         per_epoch_h=h_trace,
-        cr_rmse=convergence_rounds(MetricSeries(rmse_trace, tolerance)),
-        cr_mae=convergence_rounds(MetricSeries(mae_trace, tolerance)),
+        cr_rmse=convergence_rounds(rmse_trace, tolerance),
+        cr_mae=convergence_rounds(mae_trace, tolerance),
         termination=termination,
         final_hp=final_hp(),
         tuner=tuner,

@@ -48,13 +48,12 @@ from .trainer import (TrainConfig, TrainReport, _ordered_map, _run_epochs, nmu_e
 class DEAConfig:
     """Differential-evolution settings.
 
-    bounds is (lam_min, lam_max, lam_b_min, lam_b_max). max_iterations
-    caps the outer loop on its own; the training epoch cap applies as
-    well since each iteration costs each individual one epoch.
+    bounds is (lam_min, lam_max, lam_b_min, lam_b_max). There is no
+    iteration cap here: each iteration costs every individual one epoch,
+    so the training config's max_epochs bounds the generations.
     """
 
     population: int = 10
-    max_iterations: int = 1000
     scale_factor: float = 0.4
     crossover_prob: float = 0.9
     bounds: tuple[float, float, float, float] = (1e-4, 0.5, 1e-4, 0.5)
@@ -64,8 +63,6 @@ class DEAConfig:
     def __post_init__(self):
         if self.population < 4:
             raise ValueError("population must be >= 4")
-        if self.max_iterations < 1:
-            raise ValueError("max_iterations must be >= 1")
         if not (0 <= self.crossover_prob <= 1):
             raise ValueError("crossover_prob must lie in [0, 1]")
         if not (0 <= self.scale_factor < math.inf):
@@ -202,7 +199,7 @@ def adapt_train(template: FactorModel, train, validation, dea: DEAConfig,
     Per iteration: evaluate every individual (one epoch each), build the
     next-iteration trial vectors from the current population and tau,
     compute fitness under the configured rule, update tau, then install
-    the trial vectors. Stops at min(max_iterations, max_epochs) or once
+    the trial vectors. Stops after tc.max_epochs iterations or once
     the best H changes by less than the tolerance between iterations,
     where "best H" is the iteration's minimum H under argmin_h and tau's
     recorded H under paper_f.
@@ -248,7 +245,7 @@ def adapt_train(template: FactorModel, train, validation, dea: DEAConfig,
         watched = best[2] if dea.best_rule == "argmin_h" else swarm.tau_h
         return *best, watched
 
-    report = _run_epochs(step, min(dea.max_iterations, tc.max_epochs), tc.tolerance,
+    report = _run_epochs(step, tc.max_epochs, tc.tolerance,
                          lambda: HyperParams(lam=float(swarm.tau[0]),
                                              lam_b=float(swarm.tau[1])),
                          tuner={"population": dea.population, "best_rule": dea.best_rule})

@@ -68,6 +68,36 @@ class TestGenerate:
                    "--out", tmp_path / "x.coo") == 2
         assert "density must be in (0,1]" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag, value, words", [
+        ("--ar", 1.5, "temporal_correlation must lie in [0, 1)"),
+        ("--noise", "nan", "noise_scale must be finite and nonnegative"),
+        ("--nodes", 0, "n_nodes, n_slots and true_rank must be >= 1"),
+        ("--density", 2, "density must be in (0,1]"),
+    ])
+    def test_bad_value_reported_in_library_words(self, tmp_path, capsys, flag, value, words):
+        flags = {"--nodes": 5, "--slots": 3, "--density": 0.5, flag: value}
+        assert run("generate", *[tok for pair in flags.items() for tok in pair],
+                   "--out", tmp_path / "g.coo") == 2
+        assert capsys.readouterr().err.splitlines() == [f"error: {words}"]
+        assert not (tmp_path / "g.coo").exists()
+
+
+@pytest.mark.parametrize("command, flags", [
+    ("generate", ["--nodes", 5, "--slots", 3, "--density", 0.5, "--out", "g.coo"]),
+    ("split", ["--input", "data.coo", "--out-train", "a", "--out-val", "b",
+               "--out-test", "c"]),
+    ("train", ["--train", "tr.coo", "--val", "va.coo", "--adapt",
+               "--out", "m.json", "--report", "r.json"]),
+])
+def test_negative_seed_is_usage_error(workspace, capsys, monkeypatch, command, flags):
+    # argparse rejects the value before any file is read or written
+    monkeypatch.chdir(workspace)
+    before = sorted(os.listdir(workspace))
+    capsys.readouterr()  # drop the workspace's own log lines
+    assert run(command, *flags, "--seed", -1) == 2
+    assert "argument --seed: must be a nonnegative integer" in capsys.readouterr().err
+    assert sorted(os.listdir(workspace)) == before
+
 
 class TestSplit:
     def test_parts_partition_input(self, workspace):
@@ -147,6 +177,19 @@ class TestTrain:
         assert _train(workspace, "--lambda", 0.1, "--lambda-b", 0.1,
                       "--window", 99) == 2
 
+    def test_window_range_names_bound(self, workspace, capsys):
+        assert _train(workspace, "--lambda", 0.1, "--lambda-b", 0.1,
+                      "--window", 99) == 2
+        assert "window must lie in [0, 9]" in capsys.readouterr().err  # K = 10
+
+    @pytest.mark.parametrize("fit", [["--lambda", 0.1, "--lambda-b", 0.1], ["--adapt"]])
+    def test_empty_validation_is_data_error(self, workspace, capsys, fit):
+        (workspace / "empty.coo").write_text("%dims 30 30 10\n")
+        assert run("train", "--train", workspace / "tr.coo", "--val", workspace / "empty.coo",
+                   *fit, "--out", workspace / "m.json", "--report", workspace / "r.json") == 3
+        assert "error: empty validation set" in capsys.readouterr().err
+        assert not (workspace / "r.json").exists()
+
     def test_missing_file_is_data_error(self, workspace):
         assert run("train", "--train", workspace / "nope.coo", "--val",
                    workspace / "va.coo", "--lambda", 0.1, "--lambda-b", 0.1,
@@ -225,13 +268,21 @@ class TestEvaluate:
                    "--report", workspace / "ev.json") == 3
         assert "dimension mismatch" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag", ["--nodes", "--slots"])
+    def test_dimension_flags_rejected(self, workspace, capsys, flag):
+        # the model fixes N and K; there is nothing to pass
+        assert run("evaluate", "--model", workspace / "truth.json", "--test",
+                   workspace / "te.coo", flag, 5, "--report", workspace / "ev.json") == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+        assert not (workspace / "ev.json").exists()
+
 
 class TestPredict:
     def test_bias_only_model(self, tmp_path, capsys):
         m = dyntf.FactorModel(
             S=np.zeros((3, 1)), U=np.zeros((3, 1)), Z=np.zeros((2, 1)),
             a=np.full(3, 1.0), c=np.full(3, 2.0), e=np.full(2, 3.0),
-            weights=dyntf.TemporalWeights(band=np.zeros((2, 0)), window=0))
+            weights=dyntf.TemporalWeights(band=np.zeros((2, 0))))
         path = tmp_path / "m.json"
         dyntf.save_model(m, dyntf.HyperParams(0.0, 0.0), path)
         assert run("predict", "--model", path, "--i", 0, "--j", 1, "--k", 0) == 0
@@ -263,7 +314,7 @@ def test_overflowing_model_output_is_data_error(tmp_path, capsys, command, named
     m = dyntf.FactorModel(
         S=np.full((3, 1), 1e160), U=np.full((3, 1), 1e160), Z=np.ones((2, 1)),
         a=np.ones(3), c=np.ones(3), e=np.ones(2),
-        weights=dyntf.TemporalWeights(band=np.zeros((2, 0)), window=0))
+        weights=dyntf.TemporalWeights(band=np.zeros((2, 0))))
     dyntf.save_model(m, dyntf.HyperParams(0.0, 0.0), tmp_path / "m.json")
     (tmp_path / "te.coo").write_text("%dims 3 3 2\n0 1 0 1.0\n2 0 1 2.0\n")
     args = {"evaluate": ["--test", tmp_path / "te.coo", "--report", tmp_path / "ev.json"],
@@ -366,7 +417,7 @@ def _fail_model(path):
     m = dyntf.FactorModel(
         S=np.ones((2, 1)), U=np.ones((2, 1)), Z=np.ones((1, 1)),
         a=np.ones(2), c=np.ones(2), e=np.ones(1),
-        weights=dyntf.TemporalWeights(band=np.zeros((1, 0)), window=0))
+        weights=dyntf.TemporalWeights(band=np.zeros((1, 0))))
     # json.dump writes the factors before it meets the object it cannot encode
     dyntf.save_model(m, dyntf.HyperParams(0.0, 0.0), path, extra={"bad": object()})
 

@@ -178,9 +178,8 @@ def _write_model(inputs, work, data):
 def test_evaluate(inputs, data):
     with tempfile.TemporaryDirectory(dir=inputs) as work:
         model = _write_model(inputs, work, data)
-        argv = _argv(data, {"--nodes": "8", "--slots": "4"})
         _run_checked(["evaluate", "--model", model, "--test", inputs / "te.coo",
-                      *argv, "--report", f"{work}/ev.json"], work)
+                      "--report", f"{work}/ev.json"], work)
 
 
 @FUZZ_SETTINGS

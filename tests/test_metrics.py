@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from dyntf import MetricSeries, convergence_rounds, h_score, mae, rmse
+from dyntf import convergence_rounds, h_score, mae, rmse
 
 
 def _pairs(residuals):
@@ -70,14 +70,14 @@ def test_empty_and_malformed_inputs_rejected():
 
 
 def test_convergence_rounds_hand_values():
-    assert convergence_rounds(MetricSeries([1.0, 0.5, 0.4999999], 1e-5)) == 3
-    assert convergence_rounds(MetricSeries([0.7, 0.7, 0.7, 0.7], 1e-5)) == 2
+    assert convergence_rounds([1.0, 0.5, 0.4999999], 1e-5) == 3
+    assert convergence_rounds([0.7, 0.7, 0.7, 0.7], 1e-5) == 2
     # strictly decreasing by 0.1: never inside threshold
     vals = [1.0 - 0.1 * t for t in range(6)]
-    assert convergence_rounds(MetricSeries(vals, 1e-5)) == 6
+    assert convergence_rounds(vals, 1e-5) == 6
 
 
 def test_convergence_rounds_short_series():
-    assert convergence_rounds(MetricSeries([0.4], 1e-5)) == 1
+    assert convergence_rounds([0.4], 1e-5) == 1
     with pytest.raises(ValueError):
-        convergence_rounds(MetricSeries([], 1e-5))
+        convergence_rounds([], 1e-5)

@@ -13,15 +13,19 @@ def _bias_only(n=3, k=2, a=1.0, c=2.0, e=3.0):
     zeros = np.zeros((n, 1))
     return FactorModel(S=zeros.copy(), U=zeros.copy(), Z=np.zeros((k, 1)),
                        a=np.full(n, a), c=np.full(n, c), e=np.full(k, e),
-                       weights=TemporalWeights(band=np.zeros((k, 0)), window=0))
+                       weights=TemporalWeights(band=np.zeros((k, 0))))
 
 
 class TestTemporalWeights:
     # the band stores only the lags, so the unit diagonal and the zeros
     # outside the band are implied; the dense view must show them exactly
 
+    def test_window_is_band_width(self):
+        assert TemporalWeights(band=np.zeros((5, 3))).window == 3
+        assert init_positive(2, 5, 1, 2, seed=3).window == 2
+
     def test_identity_is_valid(self):
-        weights = TemporalWeights(band=np.zeros((4, 0)), window=0)
+        weights = TemporalWeights(band=np.zeros((4, 0)))
         weights.validate()
         assert np.array_equal(weights.w, np.eye(4))
 
@@ -36,28 +40,26 @@ class TestTemporalWeights:
     def test_band_limit_enforced(self):
         w = init_positive(2, 5, 1, 2, seed=3).weights.w
         assert not np.tril(w, -3).any()  # depth 3 > window 2
-        with pytest.raises(ValueError, match="K x window"):
-            TemporalWeights(band=np.zeros((4, 3)), window=2).validate()
 
     def test_negative_weight_rejected(self):
         band = np.zeros((3, 2))
         band[1, 0] = -0.5
         with pytest.raises(ValueError):
-            TemporalWeights(band=band, window=2).validate()
+            TemporalWeights(band=band).validate()
 
     def test_window_range(self):
         with pytest.raises(ValueError):
-            TemporalWeights(band=np.zeros((3, 3)), window=3).validate()
+            TemporalWeights(band=np.zeros((3, 3))).validate()
 
     def test_band_before_slot_zero_must_be_zero(self):
         band = np.zeros((4, 2))
         band[1, 1] = 0.1  # lag 2 of slot 1 would be slot -1
         with pytest.raises(ValueError, match="before slot 0"):
-            TemporalWeights(band=band, window=2).validate()
+            TemporalWeights(band=band).validate()
 
     def test_dense_view_places_lags(self):
         band = np.array([[0, 0], [0.1, 0], [0.2, 0.3], [0.4, 0.5]])
-        w = TemporalWeights(band=band, window=2).w
+        w = TemporalWeights(band=band).w
         expected = np.eye(4)
         expected[1, 0], expected[2, 1], expected[2, 0] = 0.1, 0.2, 0.3
         expected[3, 2], expected[3, 1] = 0.4, 0.5
@@ -127,7 +129,7 @@ class TestComputeTemporal:
         m = FactorModel(S=np.ones((1, 1)), U=np.ones((1, 1)),
                         Z=np.array([[2.0], [4.0]]), a=np.zeros(1),
                         c=np.zeros(1), e=np.zeros(2),
-                        weights=TemporalWeights(band=band, window=1))
+                        weights=TemporalWeights(band=band))
         cache = compute_temporal(m)
         assert np.array_equal(cache.z_hat, np.array([[2.0], [5.0]]))
 
@@ -135,7 +137,7 @@ class TestComputeTemporal:
         band = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0]])  # full lower ones
         m = FactorModel(S=np.ones((1, 1)), U=np.ones((1, 1)),
                         Z=np.ones((3, 1)), a=np.zeros(1), c=np.zeros(1),
-                        e=np.ones(3), weights=TemporalWeights(band=band, window=2))
+                        e=np.ones(3), weights=TemporalWeights(band=band))
         cache = compute_temporal(m)
         assert np.array_equal(cache.e_hat, np.array([1.0, 2.0, 3.0]))
 
@@ -150,7 +152,7 @@ class TestPredict:
     def test_rank_one_product(self):
         m = FactorModel(S=np.array([[2.0]]), U=np.array([[3.0]]),
                         Z=np.array([[1.0]]), a=np.zeros(1), c=np.zeros(1),
-                        e=np.zeros(1), weights=TemporalWeights(band=np.zeros((1, 0)), window=0))
+                        e=np.zeros(1), weights=TemporalWeights(band=np.zeros((1, 0))))
         assert predict(m, compute_temporal(m), 0, 0, 0) == 6.0
 
     def test_doubling_sender_row_doubles_feature_term(self):
@@ -197,7 +199,7 @@ class TestObjective:
         # perfect fit with all parameters 1: prediction 1*1*1 + 1+1+1 = 4
         m = FactorModel(S=np.ones((1, 1)), U=np.ones((1, 1)), Z=np.ones((1, 1)),
                         a=np.ones(1), c=np.ones(1), e=np.ones(1),
-                        weights=TemporalWeights(band=np.zeros((1, 0)), window=0))
+                        weights=TemporalWeights(band=np.zeros((1, 0))))
         t = dyntf.SparseTensor(1, 1, [0], [0], [0], [4.0])
         got = objective(m, t, HyperParams(0.1, 0.1))
         assert got == pytest.approx(0.3, rel=1e-15)

@@ -398,12 +398,22 @@ class TestGenerateSynthetic:
     def test_degenerate_requests_rejected(self):
         with pytest.raises(ValueError, match="density too small"):
             generate_synthetic(2, 2, 1, 1e-6, 0.5, 0.0, seed=0)
-        with pytest.raises(ValueError, match="exceeds"):
+        with pytest.raises(ValueError, match="density must be in"):
             generate_synthetic(2, 2, 1, 1.7, 0.5, 0.0, seed=0)
         with pytest.raises(ValueError, match="temporal_correlation"):
             generate_synthetic(2, 2, 1, 0.5, 1.0, 0.0, seed=0)
         with pytest.raises(ValueError, match="noise_scale"):
             generate_synthetic(2, 2, 1, 0.5, 0.5, -0.1, seed=0)
+
+    def test_density_just_above_one_rejected(self):
+        # rounds to N^2*K entries, so a count check alone lets it through
+        with pytest.raises(ValueError, match="density must be in"):
+            generate_synthetic(10, 1, 1, 1.004, 0.5, 0.0, seed=1)
+
+    @pytest.mark.parametrize("n_nodes, n_slots", [(0, 3), (-2, 3), (3, 0)])
+    def test_empty_or_negative_shape_rejected(self, n_nodes, n_slots):
+        with pytest.raises(ValueError, match="must be >= 1"):
+            generate_synthetic(n_nodes, n_slots, 1, 0.5, 0.5, 0.0, seed=1)
 
 
 def _reference_positions(rng, total, count):

@@ -17,7 +17,7 @@ from dyntf import (DivergenceError, FactorModel, HyperParams, SparseTensor,
 def _single_entry_model(value=2.0):
     m = FactorModel(S=np.ones((1, 1)), U=np.ones((1, 1)), Z=np.ones((1, 1)),
                     a=np.zeros(1), c=np.zeros(1), e=np.zeros(1),
-                    weights=TemporalWeights(band=np.zeros((1, 0)), window=0))
+                    weights=TemporalWeights(band=np.zeros((1, 0))))
     t = SparseTensor(1, 1, [0], [0], [0], [value])
     return m, t
 
