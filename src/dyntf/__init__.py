@@ -9,10 +9,9 @@ evolution swarm.
 
 from .errors import DataError, DivergenceError
 from .metrics import convergence_rounds, h_score, mae, rmse
-from .model import (FactorModel, HyperParams, TemporalCache, TemporalWeights,
-                    band_indices, compute_temporal, init_positive, load_model,
-                    model_from_dict, model_to_dict, objective, predict,
-                    predict_entries, save_model)
+from .model import (FactorModel, HyperParams, TemporalWeights, band_indices,
+                    compute_temporal, init_positive, load_model, model_from_dict,
+                    model_to_dict, objective, predict, predict_entries, save_model)
 from .tensor import (DatasetSplit, DatasetStats, ObservedEntry, SparseTensor,
                      compute_stats, generate_synthetic, load_coo, save_coo,
                      split)
@@ -27,7 +26,7 @@ __version__ = "0.1.0"
 __all__ = [
     "DataError", "DivergenceError",
     "convergence_rounds", "h_score", "mae", "rmse",
-    "FactorModel", "HyperParams", "TemporalCache", "TemporalWeights",
+    "FactorModel", "HyperParams", "TemporalWeights",
     "band_indices", "compute_temporal", "init_positive", "load_model",
     "model_from_dict", "model_to_dict", "objective", "predict",
     "predict_entries", "save_model",

@@ -13,13 +13,14 @@ from __future__ import annotations
 
 import argparse
 import sys
+from functools import partial
 
 import numpy as np
 
 from .atomic import write_json
 from .errors import DataError, DivergenceError
-# perfbench/spans.py traces rmse, mae, h_score and predict_entries under
-# these names, so they stay importable from here
+# perfbench/spans.py traces rmse, mae, h_score, compute_temporal and
+# predict_entries under these names, so they stay importable from here
 from .metrics import h_score, mae, rmse  # noqa: F401
 from .model import (HyperParams, compute_temporal, init_positive, load_model,  # noqa: F401
                     predict, predict_entries, save_model)
@@ -36,15 +37,19 @@ def _log(message: str) -> None:
     print(message, file=sys.stderr)
 
 
-def _seed(text: str) -> int:
-    """Type of every --seed flag: a nonnegative integer, the seeds numpy accepts."""
+def _int_at_least(low: int, what: str, text: str) -> int:
+    """argparse type with low and what bound: an integer >= low, else exit 2 naming the flag."""
     try:
         value = int(text)
     except ValueError:
-        value = -1
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be a nonnegative integer, got {text!r}")
+        value = low - 1
+    if value < low:
+        raise argparse.ArgumentTypeError(f"must be {what}, got {text!r}")
     return value
+
+
+_seed = partial(_int_at_least, 0, "a nonnegative integer")  # the seeds numpy accepts
+_positive = partial(_int_at_least, 1, "a positive integer")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -70,8 +75,8 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--input", required=True)
     s.add_argument("--ratios", default="7,1,2", help="comma-separated triple, default 7,1,2")
     s.add_argument("--seed", type=_seed, default=0)
-    s.add_argument("--nodes", type=int, help="N when the file has no %%dims header")
-    s.add_argument("--slots", type=int, help="K when the file has no %%dims header")
+    s.add_argument("--nodes", type=_positive, help="N when the file has no %%dims header")
+    s.add_argument("--slots", type=_positive, help="K when the file has no %%dims header")
     s.add_argument("--out-train", required=True)
     s.add_argument("--out-val", required=True)
     s.add_argument("--out-test", required=True)
@@ -80,8 +85,8 @@ def build_parser() -> argparse.ArgumentParser:
     t = sub.add_parser("train", help="fit a model on a training file")
     t.add_argument("--train", required=True, dest="train_path")
     t.add_argument("--val", required=True, dest="val_path")
-    t.add_argument("--nodes", type=int, help="N when the files have no %%dims header")
-    t.add_argument("--slots", type=int, help="K when the files have no %%dims header")
+    t.add_argument("--nodes", type=_positive, help="N when the files have no %%dims header")
+    t.add_argument("--slots", type=_positive, help="K when the files have no %%dims header")
     t.add_argument("--mode", choices=("att", "baseline"), default="att")
     t.add_argument("--rank", type=int, default=20)
     t.add_argument("--window", type=int, default=None,
@@ -104,7 +109,7 @@ def build_parser() -> argparse.ArgumentParser:
     t.add_argument("--seed", type=_seed, default=0)
     t.add_argument("--out", required=True, help="model JSON output path")
     t.add_argument("--report", required=True, help="report JSON output path")
-    t.add_argument("--threads", type=int, default=1,
+    t.add_argument("--threads", type=_positive, default=1,
                    help="worker threads; the output is the same bytes for every count")
     t.set_defaults(func=cmd_train)
 
@@ -171,8 +176,6 @@ def cmd_train(args) -> int:
         raise UsageError("give either --lambda/--lambda-b or --adapt, not both")
     if not args.adapt and (args.lam is None or args.lam_b is None):
         raise UsageError("fixed training needs both --lambda and --lambda-b (or use --adapt)")
-    if args.threads < 1:
-        raise UsageError("--threads must be >= 1")
 
     train_set = load_coo(args.train_path, n_nodes=args.nodes, n_slots=args.slots)
     val_set = load_coo(args.val_path, n_nodes=train_set.n_nodes, n_slots=train_set.n_slots)
@@ -257,7 +260,7 @@ def cmd_predict(args) -> int:
     cell = (args.i, args.j, args.k)
     try:
         with np.errstate(over="ignore", invalid="ignore"):
-            value = predict(model, compute_temporal(model), *cell)
+            value = predict(model, *cell)
     except IndexError as exc:
         raise DataError(str(exc)) from exc
     if not np.isfinite(value):

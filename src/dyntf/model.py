@@ -21,7 +21,8 @@ factorization.
 W is stored as its band, a (K, window) array with band[k, m - 1] =
 w[k, k - m]; the unit diagonal and the zeros are implied. Contractions
 with W run lag by lag in O(K * window * D); `TemporalWeights.w` builds a
-read-only dense copy on demand.
+read-only dense copy on demand. Each function that needs z_hat and e_hat
+mixes them itself (`compute_temporal`), so no caller hands a mix in.
 """
 
 from __future__ import annotations
@@ -75,15 +76,6 @@ class TemporalWeights:
             raise ValueError("temporal weights must be nonnegative and finite")
         if np.triu(band[:window]).any():
             raise ValueError("temporal weights before slot 0 must be exactly 0")
-
-
-@dataclass
-class TemporalCache:
-    """Materialized temporal contractions z_hat (K x D) and e_hat (K,),
-    refreshed by every caller from the current parameters."""
-
-    z_hat: np.ndarray
-    e_hat: np.ndarray
 
 
 @dataclass
@@ -206,18 +198,19 @@ def init_positive(n_nodes: int, n_slots: int, rank: int, window: int,
                        weights=TemporalWeights(band=band))
 
 
-def compute_temporal(model: FactorModel) -> TemporalCache:
-    """Contract W against Z and e: z_hat[k] = sum_{l<=k} w[k,l] Z[l],
-    e_hat[k] = sum_{l<=k} w[k,l] e[l]."""
+def compute_temporal(model: FactorModel) -> tuple[np.ndarray, np.ndarray]:
+    """Contract W against Z and e: returns (z_hat, e_hat) with z_hat[k] =
+    sum_{l<=k} w[k,l] Z[l] (K x D) and e_hat[k] = sum_{l<=k} w[k,l] e[l]."""
     mixed = model.weights.mix(np.column_stack((model.Z, model.e)))
-    return TemporalCache(z_hat=mixed[:, :-1], e_hat=mixed[:, -1])
+    return mixed[:, :-1], mixed[:, -1]
 
 
-def predict_entries(model: FactorModel, cache: TemporalCache,
-                    ii: np.ndarray, jj: np.ndarray, kk: np.ndarray) -> np.ndarray:
-    """Vectorized predictions for parallel index arrays (ii, jj, kk)."""
-    return predict_rows(model.S[ii] * model.U[jj], cache.z_hat[kk],
-                        model.a[ii], model.c[jj], cache.e_hat[kk])
+def predict_entries(model: FactorModel, ii: np.ndarray, jj: np.ndarray,
+                    kk: np.ndarray) -> np.ndarray:
+    """Predictions for parallel index arrays (ii, jj, kk); each call mixes W."""
+    z_hat, e_hat = compute_temporal(model)
+    return predict_rows(model.S[ii] * model.U[jj], z_hat[kk],
+                        model.a[ii], model.c[jj], e_hat[kk])
 
 
 def predict_rows(su: np.ndarray, zk: np.ndarray, ai: np.ndarray, cj: np.ndarray,
@@ -227,17 +220,14 @@ def predict_rows(su: np.ndarray, zk: np.ndarray, ai: np.ndarray, cj: np.ndarray,
     return np.einsum("nd,nd->n", su, zk) + ai + cj + ek
 
 
-def predict(model: FactorModel, cache: TemporalCache, i: int, j: int, k: int) -> float:
+def predict(model: FactorModel, i: int, j: int, k: int) -> float:
     """Predicted interaction weight for a single (i, j, k) position."""
     n, ks = model.n_nodes, model.n_slots
     if not (0 <= i < n and 0 <= j < n):
         raise IndexError(f"node index out of range: ({i}, {j}) with N={n}")
     if not (0 <= k < ks):
         raise IndexError(f"slot index out of range: {k} with K={ks}")
-    ii = np.asarray([i], dtype=np.intp)
-    jj = np.asarray([j], dtype=np.intp)
-    kk = np.asarray([k], dtype=np.intp)
-    return float(predict_entries(model, cache, ii, jj, kk)[0])
+    return float(predict_entries(model, [i], [j], [k])[0])
 
 
 def objective(model: FactorModel, entries, hp: HyperParams) -> float:
@@ -248,18 +238,18 @@ def objective(model: FactorModel, entries, hp: HyperParams) -> float:
                        + lam_b * (a[i]^2 + c[j]^2 + e_hat[k]^2))
 
     The regularization sum runs over observed entries, so a parameter is
-    penalized once per entry that touches it. The temporal cache is
-    recomputed here, never trusted from the caller.
+    penalized once per entry that touches it. W is mixed once, for both
+    the predictions and the z_hat, e_hat penalties.
     """
-    cache = compute_temporal(model)
-    preds = predict_entries(model, cache, entries.i, entries.j, entries.k)
+    z_hat, e_hat = compute_temporal(model)
+    i, j, k = entries.i, entries.j, entries.k
+    preds = predict_rows(model.S[i] * model.U[j], z_hat[k], model.a[i], model.c[j], e_hat[k])
     resid = entries.values - preds
     row_s = np.einsum("nd,nd->n", model.S, model.S)
     row_u = np.einsum("nd,nd->n", model.U, model.U)
-    row_z = np.einsum("nd,nd->n", cache.z_hat, cache.z_hat)
-    reg = (hp.lam * (row_s[entries.i] + row_u[entries.j] + row_z[entries.k])
-           + hp.lam_b * (model.a[entries.i] ** 2 + model.c[entries.j] ** 2
-                         + cache.e_hat[entries.k] ** 2))
+    row_z = np.einsum("nd,nd->n", z_hat, z_hat)
+    reg = (hp.lam * (row_s[i] + row_u[j] + row_z[k])
+           + hp.lam_b * (model.a[i] ** 2 + model.c[j] ** 2 + e_hat[k] ** 2))
     return 0.5 * float(np.sum(resid * resid) + np.sum(reg))
 
 

@@ -20,7 +20,7 @@ import numpy as np
 
 from .atomic import open_atomic
 from .errors import DataError
-from .model import FactorModel, TemporalWeights, compute_temporal, predict_entries
+from .model import FactorModel, TemporalWeights, predict_entries
 
 
 class ObservedEntry(NamedTuple):
@@ -28,6 +28,12 @@ class ObservedEntry(NamedTuple):
     j: int
     k: int
     value: float
+
+
+def _check_dims(n_nodes: int, n_slots: int) -> None:
+    # the cap keeps every in-bounds index within the int64 index arrays
+    if not (1 <= n_nodes < 2**63 and 1 <= n_slots < 2**63):
+        raise ValueError(f"n_nodes and n_slots must lie in [1, 2**63 - 1], got {n_nodes}, {n_slots}")
 
 
 class SparseTensor:
@@ -41,8 +47,7 @@ class SparseTensor:
     """
 
     def __init__(self, n_nodes: int, n_slots: int, i, j, k, values):
-        if n_nodes < 1 or n_slots < 1:
-            raise ValueError("n_nodes and n_slots must be >= 1")
+        _check_dims(n_nodes, n_slots)
         self.n_nodes = int(n_nodes)
         self.n_slots = int(n_slots)
         self.i = np.ascontiguousarray(i, dtype=np.int64)
@@ -141,6 +146,7 @@ def load_coo(source, n_nodes: int | None = None, n_slots: int | None = None) -> 
         DataError: malformed record, out-of-bounds index, negative or
             non-finite value, duplicate coordinate (all with the offending
             line number), or missing dimensions.
+        ValueError: N or K below 1 or above 2**63 - 1, before any record is read.
     """
     if hasattr(source, "read"):
         return _load_coo_stream(source, n_nodes, n_slots)
@@ -161,6 +167,7 @@ def _load_coo_stream(stream, n_nodes, n_slots) -> SparseTensor:
     start, n_nodes, n_slots = _take_header(lines, n_nodes, n_slots)
     if n_nodes is None or n_slots is None:
         raise DataError("tensor dimensions unknown: pass n_nodes/n_slots or add a %dims header")
+    _check_dims(n_nodes, n_slots)
     rows = [line for line in map(str.strip, lines[start:]) if line and line[0] != "#"]
     try:
         # per line, not by the total: 3 + 5 fields would shift the columns
@@ -269,7 +276,8 @@ def split(tensor: SparseTensor, ratios, seed: int) -> DatasetSplit:
     n_train = n - n_val - n_test
     for name, size in (("train", n_train), ("validation", n_val), ("test", n_test)):
         if size <= 0:
-            raise ValueError(f"empty split part: {name} gets 0 of {n} entries at ratios {tuple(r)}")
+            raise ValueError(f"empty split part: {name} gets 0 of {n} entries "
+                             f"at ratios {tuple(r.tolist())}")
     perm = np.random.default_rng(seed).permutation(n)
     parts = (perm[:n_train], perm[n_train:n_train + n_val], perm[n_train + n_val:])
     return DatasetSplit(
@@ -365,8 +373,7 @@ def generate_synthetic(n_nodes: int, n_slots: int, true_rank: int, density: floa
     ii = pos // per_node
     jj = (pos % per_node) // n_slots
     kk = pos % n_slots
-    cache = compute_temporal(truth)
-    values = predict_entries(truth, cache, ii, jj, kk)
+    values = predict_entries(truth, ii, jj, kk)
     if noise_scale > 0:
         values = np.maximum(values + rng.normal(0.0, noise_scale, size=count), 0.0)
     return SparseTensor(n_nodes, n_slots, ii, jj, kk, values), truth

@@ -112,16 +112,16 @@ class TrainReport:
 # divergence shows up as inf/nan accumulators and is reported through
 # DivergenceError, so the intermediate FP warnings are pure noise
 @np.errstate(over="ignore", invalid="ignore")
-def _chunk_sums(model, cache, data, lo, hi):
+def _chunk_sums(model, z_hat, e_hat, data, lo, hi):
     ii = data.i[lo:hi]
     jj = data.j[lo:hi]
     kk = data.k[lo:hi]
     x = data.values[lo:hi]
     si = model.S[ii]
     uj = model.U[jj]
-    zk = cache.z_hat[kk]
+    zk = z_hat[kk]
     su = si * uj
-    pred = predict_rows(su, zk, model.a[ii], model.c[jj], cache.e_hat[kk])
+    pred = predict_rows(su, zk, model.a[ii], model.c[jj], e_hat[kk])
     n, k, rank = model.n_nodes, model.n_slots, model.rank
     sums = {}
     for idx, rows, groups, names in ((ii, uj * zk, n, ("num_s", "den_s", "num_a", "den_a")),
@@ -147,10 +147,10 @@ def _ordered_map(fn, items, threads):
         yield from map(fn, items)
 
 
-def _epoch_sums(model, cache, data, threads):
+def _epoch_sums(model, z_hat, e_hat, data, threads):
     bounds = [(lo, min(lo + _CHUNK, data.n_entries))
               for lo in range(0, data.n_entries, _CHUNK)]
-    return _merge_in_order(_ordered_map(lambda b: _chunk_sums(model, cache, data, *b),
+    return _merge_in_order(_ordered_map(lambda b: _chunk_sums(model, z_hat, e_hat, data, *b),
                                         bounds, threads))
 
 
@@ -179,11 +179,11 @@ def _ensure_finite(what: str, arr: np.ndarray) -> None:
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def _mu_terms(model: FactorModel, cache, data, hp: HyperParams, threads: int) -> dict:
-    """{group: (num, den, mask)} for S, U, Z, a, c, e and the W band, over
-    the entries of `data` (at least one). den - num is the gradient of
-    objective(); mask marks the parameters some entry reaches, and den -
-    num is 0 elsewhere. With x_hat the current prediction:
+def _mu_terms(model: FactorModel, data, hp: HyperParams, threads: int) -> dict:
+    """{group: (num, den, mask)} for S, U, Z, a, c, e and the W band over the
+    entries of `data` (at least one), mixing W once. den - num is the gradient
+    of objective(); mask marks the parameters some entry reaches, and den - num
+    is 0 elsewhere. With x_hat the current prediction:
 
       S[i,d]: num = sum over entries of i of x * U[j,d] * z_hat[k,d]
               den = sum of x_hat * U[j,d] * z_hat[k,d] + lam * S[i,d]
@@ -201,7 +201,8 @@ def _mu_terms(model: FactorModel, cache, data, hp: HyperParams, threads: int) ->
                     + (x_hat + lam_b * e_hat[k]) * e[l]
     """
     n, n_slots, window = model.n_nodes, model.n_slots, model.window
-    sums = _epoch_sums(model, cache, data, threads)
+    z_hat, e_hat = compute_temporal(model)
+    sums = _epoch_sums(model, z_hat, e_hat, data, threads)
     counts_i = np.bincount(data.i, minlength=n).astype(float)
     counts_j = np.bincount(data.j, minlength=n).astype(float)
     counts_k = np.bincount(data.k, minlength=n_slots).astype(float)
@@ -210,8 +211,8 @@ def _mu_terms(model: FactorModel, cache, data, hp: HyperParams, threads: int) ->
     # per-slot sums of the [Z | e] numerators (index 0) and denominators
     # (index 1), K x 2 x (D + 1); W.T carries them back to the slots they mix
     slot = np.stack((np.column_stack((sums["g_num"], sums["h_num"])),
-                     np.column_stack((sums["g_den"] + lam * cache.z_hat * counts_k[:, None],
-                                      sums["h_den"] + lam_b * cache.e_hat * counts_k))),
+                     np.column_stack((sums["g_den"] + lam * z_hat * counts_k[:, None],
+                                      sums["h_den"] + lam_b * e_hat * counts_k))),
                     axis=1)
     back = model.weights.mix(slot, transpose=True)
     # lag m pairs slot k's sums with [Z | e][k - m]; rows k < m stay 0
@@ -245,7 +246,7 @@ def nmu_epoch(model: FactorModel, train: "SparseTensor", hp: HyperParams,
     """
     if train.n_entries == 0:
         return model  # nothing observed: every entry subset is empty
-    terms = _mu_terms(model, compute_temporal(model), train, hp, threads)
+    terms = _mu_terms(model, train, hp, threads)
     if mode != "att":
         del terms["W"]
     old = {"S": model.S, "U": model.U, "Z": model.Z, "a": model.a, "c": model.c,
@@ -276,8 +277,7 @@ def validation_metrics(model: FactorModel, validation) -> tuple[float, float, fl
     overflows is inf, without a warning, and the epoch loop calls it
     divergence."""
     with np.errstate(over="ignore", invalid="ignore"):
-        cache = compute_temporal(model)
-        preds = predict_entries(model, cache, validation.i, validation.j, validation.k)
+        preds = predict_entries(model, validation.i, validation.j, validation.k)
         pairs = np.column_stack((validation.values, preds))
         r = rmse(pairs)
         m = mae(pairs)
@@ -379,5 +379,5 @@ def analytic_gradient(model: FactorModel, entries, hp: HyperParams, coordinate) 
         index = [k, k - l - 1]  # its band slot
     if entries.n_entries == 0:
         return 0.0
-    num, den, _ = _mu_terms(model, compute_temporal(model), entries, hp, 1)[group]
+    num, den, _ = _mu_terms(model, entries, hp, 1)[group]
     return float(den[tuple(index)] - num[tuple(index)])

@@ -18,8 +18,8 @@ import numpy as np
 import pytest
 
 import dyntf.trainer
-from dyntf import (HyperParams, SparseTensor, TemporalCache, compute_temporal,
-                   init_positive, load_model, nmu_epoch, save_model)
+from dyntf import (HyperParams, SparseTensor, compute_temporal, init_positive,
+                   load_model, nmu_epoch, save_model)
 
 PARENT_MODEL = Path(__file__).parent / "data" / "model_window3.json"
 N, K, D = 5, 7, 3
@@ -36,7 +36,7 @@ def dense_epoch(model, data, hp, denom_floor=1e-12):
     w = model.weights.w
     window = model.window
     z_hat, e_hat = dense_temporal(model)
-    sums = dyntf.trainer._epoch_sums(model, TemporalCache(z_hat, e_hat), data, 1)
+    sums = dyntf.trainer._epoch_sums(model, z_hat, e_hat, data, 1)
     counts_i = np.bincount(data.i, minlength=N).astype(float)
     counts_j = np.bincount(data.j, minlength=N).astype(float)
     counts_k = np.bincount(data.k, minlength=K).astype(float)
@@ -83,10 +83,10 @@ def _random_case(window, seed):
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_compute_temporal_matches_dense(window, seed):
     model, _ = _random_case(window, seed)
-    cache = compute_temporal(model)
+    z_hat, e_hat = compute_temporal(model)
     z_ref, e_ref = dense_temporal(model)
-    np.testing.assert_allclose(cache.z_hat, z_ref, rtol=1e-12, atol=0)
-    np.testing.assert_allclose(cache.e_hat, e_ref, rtol=1e-12, atol=0)
+    np.testing.assert_allclose(z_hat, z_ref, rtol=1e-12, atol=0)
+    np.testing.assert_allclose(e_hat, e_ref, rtol=1e-12, atol=0)
 
 
 @pytest.mark.parametrize("window", [0, 1, 3, K - 1])

@@ -53,7 +53,9 @@ def test_wrapped_train_records_spans(tmp_path, monkeypatch):
         recorder.spans.clear()
         assert main(base + extra) == 0
         names = {span["name"] for span in recorder.spans}
-        assert {"trainer.nmu_epoch", "metrics.score"} <= names
+        # every layer a traced bench run must see, reached by its traced name
+        assert {"trainer.nmu_epoch", "metrics.score", "model.compute_temporal",
+                "model.predict_entries", "trainer.validation_metrics"} <= names
         epochs = [s for s in recorder.spans if s["name"] == "trainer.nmu_epoch"]
         assert all(s["attrs"]["entries"] == parts.train.n_entries for s in epochs)
         assert all(s["end"] is not None for s in recorder.spans)

@@ -57,8 +57,7 @@ class TestGenerate:
                    "--truth-out", truth_path) == 0
         model, _ = dyntf.load_model(truth_path)
         data = dyntf.load_coo(out)
-        cache = dyntf.compute_temporal(model)
-        preds = dyntf.predict_entries(model, cache, data.i, data.j, data.k)
+        preds = dyntf.predict_entries(model, data.i, data.j, data.k)
         assert np.max(np.abs(preds - data.values)) <= 1e-12
         doc = json.loads(truth_path.read_text())
         assert doc["generator"]["seed"] == 2
@@ -99,6 +98,24 @@ def test_negative_seed_is_usage_error(workspace, capsys, monkeypatch, command, f
     assert sorted(os.listdir(workspace)) == before
 
 
+@pytest.mark.parametrize("command, flags", [
+    ("split", ["--input", "data.coo", "--out-train", "a", "--out-val", "b",
+               "--out-test", "c"]),
+    ("train", ["--train", "tr.coo", "--val", "va.coo", "--adapt",
+               "--out", "m.json", "--report", "r.json"]),
+])
+@pytest.mark.parametrize("flag", ["--nodes", "--slots"])
+def test_nonpositive_dimension_is_usage_error(workspace, capsys, monkeypatch, command,
+                                              flags, flag):
+    # a bad flag value, not bad data: exit 2 naming the flag, before any file is read
+    monkeypatch.chdir(workspace)
+    before = sorted(os.listdir(workspace))
+    capsys.readouterr()
+    assert run(command, *flags, flag, 0) == 2
+    assert f"argument {flag}: must be a positive integer" in capsys.readouterr().err
+    assert sorted(os.listdir(workspace)) == before
+
+
 class TestSplit:
     def test_parts_partition_input(self, workspace):
         full = dyntf.load_coo(workspace / "data.coo")
@@ -118,6 +135,17 @@ class TestSplit:
         assert run("split", "--input", workspace / "data.coo", "--ratios", "1,0,0",
                    "--out-train", workspace / "a", "--out-val", workspace / "b",
                    "--out-test", workspace / "c") == 3
+
+    def test_dims_past_int64_is_data_error(self, tmp_path, capsys):
+        # the record is below the declared N but does not fit an int64 index
+        src = tmp_path / "big.coo"
+        src.write_text("%dims 20000000000000000000 20000000000000000000 1\n"
+                       "10000000000000000000 0 0 1.0\n")
+        assert run("split", "--input", src, "--out-train", tmp_path / "a",
+                   "--out-val", tmp_path / "b", "--out-test", tmp_path / "c") == 3
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: n_nodes and n_slots")
+        assert sorted(os.listdir(tmp_path)) == ["big.coo"]
 
 
 class TestTrain:

@@ -120,9 +120,9 @@ class TestInitPositive:
 class TestComputeTemporal:
     def test_identity_weights_pass_through(self):
         m = init_positive(4, 3, 2, 0, seed=5)
-        cache = compute_temporal(m)
-        assert np.array_equal(cache.z_hat, m.Z)
-        assert np.array_equal(cache.e_hat, m.e)
+        z_hat, e_hat = compute_temporal(m)
+        assert np.array_equal(z_hat, m.Z)
+        assert np.array_equal(e_hat, m.e)
 
     def test_hand_mixing(self):
         band = np.array([[0.0], [0.5]])  # w[1, 0] = 0.5
@@ -130,58 +130,54 @@ class TestComputeTemporal:
                         Z=np.array([[2.0], [4.0]]), a=np.zeros(1),
                         c=np.zeros(1), e=np.zeros(2),
                         weights=TemporalWeights(band=band))
-        cache = compute_temporal(m)
-        assert np.array_equal(cache.z_hat, np.array([[2.0], [5.0]]))
+        z_hat, _ = compute_temporal(m)
+        assert np.array_equal(z_hat, np.array([[2.0], [5.0]]))
 
     def test_full_lower_ones_accumulate_bias(self):
         band = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0]])  # full lower ones
         m = FactorModel(S=np.ones((1, 1)), U=np.ones((1, 1)),
                         Z=np.ones((3, 1)), a=np.zeros(1), c=np.zeros(1),
                         e=np.ones(3), weights=TemporalWeights(band=band))
-        cache = compute_temporal(m)
-        assert np.array_equal(cache.e_hat, np.array([1.0, 2.0, 3.0]))
+        _, e_hat = compute_temporal(m)
+        assert np.array_equal(e_hat, np.array([1.0, 2.0, 3.0]))
 
 
 class TestPredict:
     def test_bias_only(self):
         m = _bias_only()
-        cache = compute_temporal(m)
-        assert predict(m, cache, 0, 1, 0) == 6.0
-        assert predict(m, cache, 2, 2, 0) == 6.0
+        assert predict(m, 0, 1, 0) == 6.0
+        assert predict(m, 2, 2, 0) == 6.0
 
     def test_rank_one_product(self):
         m = FactorModel(S=np.array([[2.0]]), U=np.array([[3.0]]),
                         Z=np.array([[1.0]]), a=np.zeros(1), c=np.zeros(1),
                         e=np.zeros(1), weights=TemporalWeights(band=np.zeros((1, 0))))
-        assert predict(m, compute_temporal(m), 0, 0, 0) == 6.0
+        assert predict(m, 0, 0, 0) == 6.0
 
     def test_doubling_sender_row_doubles_feature_term(self):
         m = init_positive(4, 3, 2, 1, seed=8)
-        cache = compute_temporal(m)
-        base = predict(m, cache, 1, 2, 1)
-        bias = m.a[1] + m.c[2] + cache.e_hat[1]
+        base = predict(m, 1, 2, 1)
+        bias = m.a[1] + m.c[2] + compute_temporal(m)[1][1]
         doubled = m.copy()
         doubled.S = m.S.copy()
         doubled.S[1] *= 2.0
-        got = predict(doubled, compute_temporal(doubled), 1, 2, 1)
+        got = predict(doubled, 1, 2, 1)
         assert got == pytest.approx(bias + 2.0 * (base - bias), rel=1e-12)
 
     def test_out_of_range_index(self):
         m = init_positive(3, 2, 1, 0, seed=0)
-        cache = compute_temporal(m)
         with pytest.raises(IndexError):
-            predict(m, cache, 3, 0, 0)
+            predict(m, 3, 0, 0)
         with pytest.raises(IndexError):
-            predict(m, cache, 0, 0, 2)
+            predict(m, 0, 0, 2)
 
     def test_vectorized_matches_scalar(self):
         m = init_positive(5, 4, 3, 2, seed=11)
-        cache = compute_temporal(m)
         ii = np.array([0, 2, 4])
         jj = np.array([1, 1, 3])
         kk = np.array([0, 3, 2])
-        batch = predict_entries(m, cache, ii, jj, kk)
-        singles = [predict(m, cache, *t) for t in zip(ii, jj, kk)]
+        batch = predict_entries(m, ii, jj, kk)
+        singles = [predict(m, *t) for t in zip(ii, jj, kk)]
         assert np.array_equal(batch, np.array(singles))
 
 

@@ -38,6 +38,12 @@ class TestLoadCoo:
         with pytest.raises(DataError, match="dimensions unknown"):
             _load("0 0 0 1.0\n")
 
+    def test_bad_dims_rejected_before_records(self):
+        with pytest.raises(ValueError, match="n_nodes and n_slots"):
+            _load("0 0 0 1.0\n", n_nodes=0, n_slots=3)
+        with pytest.raises(ValueError, match="n_nodes and n_slots"):
+            _load(f"%dims {2**64} {2**64} 1\n{2**63} 0 0 1.0\n")
+
     def test_negative_value_reports_line(self):
         with pytest.raises(DataError, match="negative value at line 2"):
             _load("0 0 0 1.0\n0 1 2 -1.0\n", n_nodes=2, n_slots=3)
@@ -249,6 +255,8 @@ def test_constructor_validation():
         SparseTensor(2, 2, [0, 0], [1, 1], [0, 0], [1.0, 2.0])
     with pytest.raises(DataError, match="non-finite"):
         SparseTensor(2, 2, [0], [0], [0], [np.nan])
+    with pytest.raises(ValueError, match="n_nodes and n_slots"):
+        SparseTensor(2**63, 1, [], [], [], [])
 
 
 def test_duplicate_check_at_dims_past_int64():
@@ -285,7 +293,7 @@ class TestSplit:
         assert parts[0] | parts[1] | parts[2] == set(data.entries)
 
     def test_zero_ratio_part_rejected(self, small_tensor):
-        with pytest.raises(ValueError, match="empty split part"):
+        with pytest.raises(ValueError, match=r"empty split part.* at ratios \(1\.0, 0\.0, 0\.0\)"):
             split(small_tensor, (1, 0, 0), seed=0)
 
     def test_bad_ratios(self, small_tensor):
@@ -348,8 +356,7 @@ class TestGenerateSynthetic:
 
     def test_noiseless_values_match_truth(self):
         data, truth = generate_synthetic(12, 5, 2, 0.3, 0.7, 0.0, seed=9)
-        cache = dyntf.compute_temporal(truth)
-        preds = dyntf.predict_entries(truth, cache, data.i, data.j, data.k)
+        preds = dyntf.predict_entries(truth, data.i, data.j, data.k)
         assert np.max(np.abs(preds - data.values)) <= 1e-12
 
     def test_truth_is_positive_with_identity_weights(self, fixture_data):

@@ -130,11 +130,11 @@ def _random_tensor(n_nodes, n_slots, n_entries, seed):
     return SparseTensor(n_nodes, n_slots, ii, jj, kk, rng.uniform(0.0, 2.0, n_entries))
 
 
-def _reference_sums(model, cache, data):
+def _reference_sums(model, data):
     """The accumulators of one epoch, unchunked, with np.add.at."""
     ii, jj, kk, x = data.i, data.j, data.k, data.values
-    pred = predict_entries(model, cache, ii, jj, kk)
-    si, uj, zk = model.S[ii], model.U[jj], cache.z_hat[kk]
+    pred = predict_entries(model, ii, jj, kk)
+    si, uj, zk = model.S[ii], model.U[jj], compute_temporal(model)[0][kk]
     n, n_slots = model.n_nodes, model.n_slots
     out = {}
     for idx, rows, groups, num, den in ((ii, uj * zk, n, "num_s", "den_s"),
@@ -159,10 +159,9 @@ class TestEpochSums:
     def test_matches_unchunked_reference(self, monkeypatch, chunk, n_entries, threads):
         data = _random_tensor(60, 20, n_entries, seed=n_entries)
         model = init_positive(60, 20, 3, 4, seed=8)
-        cache = compute_temporal(model)
         monkeypatch.setattr(dyntf.trainer, "_CHUNK", chunk)
-        sums = dyntf.trainer._epoch_sums(model, cache, data, threads)
-        ref = _reference_sums(model, cache, data)
+        sums = dyntf.trainer._epoch_sums(model, *compute_temporal(model), data, threads)
+        ref = _reference_sums(model, data)
         assert sums.keys() == ref.keys()
         for name, expected in ref.items():
             np.testing.assert_allclose(sums[name], expected, rtol=1e-12, atol=0, err_msg=name)
