@@ -24,7 +24,7 @@ from .errors import DataError, DivergenceError
 from .metrics import h_score, mae, rmse  # noqa: F401
 from .model import (HyperParams, compute_temporal, init_positive, load_model,  # noqa: F401
                     predict, predict_entries, save_model)
-from .tensor import generate_synthetic, load_coo, save_coo, split
+from .tensor import MAX_DIM, generate_synthetic, load_coo, save_coo, split
 from .trainer import TrainConfig, train, validation_metrics
 from .tuner import DEAConfig, adapt_train
 
@@ -37,19 +37,20 @@ def _log(message: str) -> None:
     print(message, file=sys.stderr)
 
 
-def _int_at_least(low: int, what: str, text: str) -> int:
-    """argparse type with low and what bound: an integer >= low, else exit 2 naming the flag."""
+def _int_in(low: int, high, what: str, text: str) -> int:
+    """argparse type: an integer in [low, high], else exit 2 naming the flag."""
     try:
         value = int(text)
     except ValueError:
         value = low - 1
-    if value < low:
+    if not low <= value <= high:
         raise argparse.ArgumentTypeError(f"must be {what}, got {text!r}")
     return value
 
 
-_seed = partial(_int_at_least, 0, "a nonnegative integer")  # the seeds numpy accepts
-_positive = partial(_int_at_least, 1, "a positive integer")
+_seed = partial(_int_in, 0, np.inf, "a nonnegative integer")  # the seeds numpy accepts
+_positive = partial(_int_in, 1, np.inf, "a positive integer")
+_dim = partial(_int_in, 1, MAX_DIM, f"a positive integer <= {MAX_DIM}")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -75,8 +76,8 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--input", required=True)
     s.add_argument("--ratios", default="7,1,2", help="comma-separated triple, default 7,1,2")
     s.add_argument("--seed", type=_seed, default=0)
-    s.add_argument("--nodes", type=_positive, help="N when the file has no %%dims header")
-    s.add_argument("--slots", type=_positive, help="K when the file has no %%dims header")
+    s.add_argument("--nodes", type=_dim, help="N when the file has no %%dims header")
+    s.add_argument("--slots", type=_dim, help="K when the file has no %%dims header")
     s.add_argument("--out-train", required=True)
     s.add_argument("--out-val", required=True)
     s.add_argument("--out-test", required=True)
@@ -85,8 +86,8 @@ def build_parser() -> argparse.ArgumentParser:
     t = sub.add_parser("train", help="fit a model on a training file")
     t.add_argument("--train", required=True, dest="train_path")
     t.add_argument("--val", required=True, dest="val_path")
-    t.add_argument("--nodes", type=_positive, help="N when the files have no %%dims header")
-    t.add_argument("--slots", type=_positive, help="K when the files have no %%dims header")
+    t.add_argument("--nodes", type=_dim, help="N when the files have no %%dims header")
+    t.add_argument("--slots", type=_dim, help="K when the files have no %%dims header")
     t.add_argument("--mode", choices=("att", "baseline"), default="att")
     t.add_argument("--rank", type=int, default=20)
     t.add_argument("--window", type=int, default=None,
@@ -180,17 +181,15 @@ def cmd_train(args) -> int:
     train_set = load_coo(args.train_path, n_nodes=args.nodes, n_slots=args.slots)
     val_set = load_coo(args.val_path, n_nodes=train_set.n_nodes, n_slots=train_set.n_slots)
 
-    window = args.window
-    if args.mode == "baseline":
-        window = 0  # temporal weights stay identity
-    elif window is None:
+    window = 0 if args.mode == "baseline" else args.window  # baseline is window 0
+    if window is None:
         window = train_set.n_slots - 1
 
     init_ss, dea_ss = np.random.SeedSequence(args.seed).spawn(2)
     try:
         model = init_positive(train_set.n_nodes, train_set.n_slots, args.rank,
                               window, init_ss, scale=args.init_scale)
-        tc = TrainConfig(max_epochs=args.max_epochs, tolerance=args.tol, mode=args.mode)
+        tc = TrainConfig(max_epochs=args.max_epochs, tolerance=args.tol)
         if args.adapt:
             bounds = _parse_floats(args.bounds, 4, "--bounds")
             dea = DEAConfig(population=args.pop, scale_factor=args.scale_factor,

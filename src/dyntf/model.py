@@ -28,6 +28,7 @@ mixes them itself (`compute_temporal`), so no caller hands a mix in.
 from __future__ import annotations
 
 import json
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -288,7 +289,8 @@ def model_from_dict(doc: dict) -> tuple[FactorModel, HyperParams]:
         except (TypeError, ValueError) as exc:
             raise ValueError(f"model field {name!r} is malformed: {exc}") from None
 
-    n, k, d, window = (field(name, int) for name in ("n_nodes", "n_slots", "rank", "window"))
+    n, k, d, window = (field(name, operator.index)  # JSON integers only, not 2.5 or inf
+                       for name in ("n_nodes", "n_slots", "rank", "window"))
     for name, value in (("n_nodes", n), ("n_slots", k), ("rank", d)):
         if value < 0:  # reshape would read -1 as "infer this dimension"
             raise ValueError(f"model field {name!r} must be nonnegative")
@@ -319,5 +321,8 @@ def save_model(model: FactorModel, hp: HyperParams, path, extra: dict | None = N
 
 def load_model(path) -> tuple[FactorModel, HyperParams]:
     with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
+        try:
+            doc = json.load(fh)
+        except RecursionError:
+            raise ValueError("model JSON is nested too deeply") from None
     return model_from_dict(doc)

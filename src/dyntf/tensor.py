@@ -30,9 +30,11 @@ class ObservedEntry(NamedTuple):
     value: float
 
 
+MAX_DIM = 2**63 - 1  # the largest N or K: every in-bounds index fits the int64 index arrays
+
+
 def _check_dims(n_nodes: int, n_slots: int) -> None:
-    # the cap keeps every in-bounds index within the int64 index arrays
-    if not (1 <= n_nodes < 2**63 and 1 <= n_slots < 2**63):
+    if not (1 <= n_nodes <= MAX_DIM and 1 <= n_slots <= MAX_DIM):
         raise ValueError(f"n_nodes and n_slots must lie in [1, 2**63 - 1], got {n_nodes}, {n_slots}")
 
 

@@ -29,6 +29,8 @@ one short).
 
 `train` and the tuner's `adapt_train` are steps of one epoch loop,
 `_run_epochs`, which records the scores, stops and builds the report.
+Every epoch updates the W band; the non-temporal baseline is window 0,
+whose (K, 0) band makes that update a no-op.
 """
 
 from __future__ import annotations
@@ -49,24 +51,17 @@ DENOM_FLOOR = 1e-12  # smallest denominator a multiplicative step divides by
 
 @dataclass
 class TrainConfig:
-    """Knobs for the training loop.
-
-    mode "att" learns the temporal weight band; "baseline" leaves the
-    temporal weights untouched (with an identity W this is a plain biased
-    factorization).
-    """
+    """Knobs for the training loop: the epoch cap and the H-change
+    tolerance. Whether W is learned is the model's window, not a knob."""
 
     max_epochs: int = 1000
     tolerance: float = 1e-5
-    mode: str = "att"
 
     def __post_init__(self):
         if self.max_epochs < 1:
             raise ValueError("max_epochs must be >= 1")
         if not (0 <= self.tolerance < np.inf):
             raise ValueError("tolerance must be finite and nonnegative")
-        if self.mode not in ("att", "baseline"):
-            raise ValueError("mode must be 'att' or 'baseline'")
 
 
 @dataclass
@@ -236,19 +231,18 @@ def _mu_terms(model: FactorModel, data, hp: HyperParams, threads: int) -> dict:
 
 @np.errstate(over="ignore", invalid="ignore")
 def nmu_epoch(model: FactorModel, train: "SparseTensor", hp: HyperParams,
-              mode: str = "att", threads: int = 1) -> FactorModel:
+              threads: int = 1) -> FactorModel:
     """Run one full multiplicative update in place and return the model.
 
-    Every group takes theta * num / max(den, DENOM_FLOOR) from the terms of
-    `_mu_terms`; baseline mode skips W. Raises DivergenceError, leaving the
+    Every group, the W band included, takes theta * num / max(den,
+    DENOM_FLOOR) from the terms of `_mu_terms`; at window 0 the band is
+    (K, 0) and W stays the identity. Raises DivergenceError, leaving the
     model as it was, when a term or an updated group turns non-finite or
     the updated predictions could overflow.
     """
     if train.n_entries == 0:
         return model  # nothing observed: every entry subset is empty
     terms = _mu_terms(model, train, hp, threads)
-    if mode != "att":
-        del terms["W"]
     old = {"S": model.S, "U": model.U, "Z": model.Z, "a": model.a, "c": model.c,
            "e": model.e, "W": model.weights.band}
     new = {}
@@ -258,17 +252,16 @@ def nmu_epoch(model: FactorModel, train: "SparseTensor", hp: HyperParams,
         # old * num / max(den, floor) where mask holds, old elsewhere
         new[name] = np.where(mask, old[name] * num / np.maximum(den, DENOM_FLOOR), old[name])
         _ensure_finite(f"{name} after the update", new[name])
-    new_band = new.pop("W", model.weights.band)
 
     # nonnegative factors: this bounds every prediction of the updated model
-    w_row = 1.0 + new_band.sum(axis=1).max()  # largest row sum of W
+    w_row = 1.0 + new["W"].sum(axis=1).max()  # largest row sum of W
     peak = (model.rank * new["S"].max() * new["U"].max() * new["Z"].max() * w_row
             + new["a"].max() + new["c"].max() + new["e"].max() * w_row)
     _ensure_finite("prediction bound after the update", peak)
 
+    model.weights.band = new.pop("W")
     for name, arr in new.items():
         setattr(model, name, arr)
-    model.weights.band = new_band
     return model
 
 
@@ -341,7 +334,7 @@ def train(model: FactorModel, train_set, validation, hp: HyperParams,
     work = model.copy()
 
     def step():
-        nmu_epoch(work, train_set, hp, mode=config.mode, threads=threads)
+        nmu_epoch(work, train_set, hp, threads=threads)
         r, m, h = validation_metrics(work, validation)
         return r, m, h, h
 

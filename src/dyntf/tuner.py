@@ -143,13 +143,12 @@ def crossover(previous: np.ndarray, mutant: np.ndarray, config: DEAConfig,
     return np.where(take, mutant, previous)
 
 
-def evaluate_individual(individual: Individual, train, validation,
-                        mode: str = "att") -> tuple[float, float, float]:
+def evaluate_individual(individual: Individual, train, validation) -> tuple[float, float, float]:
     """One epoch on the individual's private model, then its validation
     (rmse, mae, h), which it returns. H is also kept as h_current, for
     update_best and for on_iteration watchers.
     """
-    nmu_epoch(individual.model, train, individual.hyperparams(), mode=mode)
+    nmu_epoch(individual.model, train, individual.hyperparams())
     scores = validation_metrics(individual.model, validation)
     individual.h_current = scores[2]
     return scores
@@ -225,9 +224,8 @@ def adapt_train(template: FactorModel, train, validation, dea: DEAConfig,
 
     def step():
         nonlocal h_last
-        scores = list(_ordered_map(
-            lambda ind: evaluate_individual(ind, train, validation, mode=tc.mode),
-            swarm.individuals, threads))
+        scores = list(_ordered_map(lambda ind: evaluate_individual(ind, train, validation),
+                                   swarm.individuals, threads))
         h_values = [h for _, _, h in scores]
 
         # next-iteration vectors come from the evaluated population snapshot

@@ -6,6 +6,7 @@ single `PASS criterion N` line with the measured figure (run pytest with
 recorded as constants next to the criterion they belong to.
 """
 
+import json
 import time
 
 import numpy as np
@@ -157,7 +158,8 @@ def test_criterion_4_objective_halves_within_100_epochs():
 
 
 def test_criterion_5_temporal_advantage():
-    """Median test RMSE of att over 5 seeds <= baseline on the same seeds."""
+    """Median test RMSE of att (window 2) over 5 seeds <= the baseline
+    (window 0, W the identity) on the same seeds."""
     t0 = time.perf_counter()
     hp = HyperParams(0.01, 0.01)
     tc = TrainConfig(max_epochs=300, tolerance=0.0)
@@ -165,12 +167,10 @@ def test_criterion_5_temporal_advantage():
     for seed in ADVANTAGE_SEEDS:
         data, _ = generate_synthetic(50, 20, 2, 0.05, 0.9, 0.01, seed=seed)
         sp = dyntf.split(data, (1, 1, 8), seed=seed)
-        for mode, window in (("att", 2), ("baseline", 0)):
+        for name, window in (("att", 2), ("baseline", 0)):
             m = init_positive(50, 20, 2, window, seed=seed + 17)
-            fitted, _ = train(m, sp.train, sp.validation, hp,
-                              TrainConfig(max_epochs=tc.max_epochs,
-                                          tolerance=tc.tolerance, mode=mode))
-            scores[mode].append(validation_metrics(fitted, sp.test)[0])
+            fitted, _ = train(m, sp.train, sp.validation, hp, tc)
+            scores[name].append(validation_metrics(fitted, sp.test)[0])
     med_att = float(np.median(scores["att"]))
     med_base = float(np.median(scores["baseline"]))
     elapsed = time.perf_counter() - t0
@@ -248,21 +248,29 @@ def test_criterion_8_determinism(tmp_path, monkeypatch):
                "byte-identical to the sequential one")
 
 
-def test_criterion_9_window_zero_equals_baseline():
-    """att with window 0 reproduces baseline epoch-for-epoch exactly."""
+def test_criterion_9_window_zero_equals_baseline(tmp_path):
+    """`train --window 0` reproduces `train --mode baseline` (whatever its
+    --window) epoch-for-epoch and byte-for-byte."""
     sp, _ = _fixture()
-    hp = HyperParams(0.01, 0.01)
-    tc = TrainConfig(max_epochs=30, tolerance=0.0)
-    series = {}
-    for mode in ("att", "baseline"):
-        m = init_positive(50, 20, 2, 0, seed=MODEL_SEED)
-        _, report = train(m, sp.train, sp.validation, hp,
-                          TrainConfig(max_epochs=tc.max_epochs,
-                                      tolerance=tc.tolerance, mode=mode))
-        series[mode] = report.per_epoch_h
+    save_coo(sp.train, tmp_path / "tr.coo")
+    save_coo(sp.validation, tmp_path / "va.coo")
+    series, models = {}, {}
+    for tag, flags in (("att", ["--window", "0"]),
+                       ("baseline", ["--mode", "baseline", "--window", "5"])):
+        argv = ["train", "--train", str(tmp_path / "tr.coo"),
+                "--val", str(tmp_path / "va.coo"), "--rank", "2", *flags,
+                "--max-epochs", "30", "--tol", "0", "--lambda", "0.01",
+                "--lambda-b", "0.01", "--seed", str(MODEL_SEED),
+                "--out", str(tmp_path / f"m_{tag}.json"),
+                "--report", str(tmp_path / f"r_{tag}.json")]
+        assert cli_main(argv) == 0
+        series[tag] = json.loads((tmp_path / f"r_{tag}.json").read_text())["per_epoch_h"]
+        models[tag] = (tmp_path / f"m_{tag}.json").read_bytes()
+    assert len(series["att"]) == 30
     assert series["att"] == series["baseline"]
+    assert models["att"] == models["baseline"]
     _report(9, f"per-epoch H series bit-identical across "
-               f"{len(series['att'])} epochs")
+               f"{len(series['att'])} epochs; model files byte-identical")
 
 
 def test_criterion_10_density_reporting(tmp_path):

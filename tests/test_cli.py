@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import warnings
 from types import SimpleNamespace
@@ -107,12 +108,14 @@ def test_negative_seed_is_usage_error(workspace, capsys, monkeypatch, command, f
 @pytest.mark.parametrize("flag", ["--nodes", "--slots"])
 def test_nonpositive_dimension_is_usage_error(workspace, capsys, monkeypatch, command,
                                               flags, flag):
-    # a bad flag value, not bad data: exit 2 naming the flag, before any file is read
+    # a bad flag value, not bad data: exit 2 naming the flag, before any file
+    # is read; 2**64 is past the int64 index range that bounds N and K
     monkeypatch.chdir(workspace)
     before = sorted(os.listdir(workspace))
     capsys.readouterr()
-    assert run(command, *flags, flag, 0) == 2
-    assert f"argument {flag}: must be a positive integer" in capsys.readouterr().err
+    for value in (0, 2**64):
+        assert run(command, *flags, flag, value) == 2
+        assert f"argument {flag}: must be a positive integer" in capsys.readouterr().err
     assert sorted(os.listdir(workspace)) == before
 
 
@@ -358,17 +361,30 @@ class TestModelSchema:
     def _predict(self, path):
         return run("predict", "--model", path, "--i", 0, "--j", 0, "--k", 0)
 
-    @pytest.mark.parametrize("name", ["n_nodes", "n_slots", "rank"])
-    def test_negative_dimension_is_named(self, tmp_path, capsys, name):
+    @pytest.mark.parametrize("name", ["n_nodes", "n_slots", "rank", "window"])
+    def test_non_integer_or_negative_dimension_is_named(self, tmp_path, capsys, name):
         # reshape reads -1 as "infer this dimension", so the arrays alone
-        # would still fit
+        # would still fit; int() would overflow on inf and truncate 2.5
         m = dyntf.init_positive(3, 2, 1, 0, seed=0)
         doc = dyntf.model_to_dict(m, dyntf.HyperParams(0.0, 0.0))
-        doc[name] = -1
         path = tmp_path / "m.json"
-        path.write_text(json.dumps(doc))
+        commands = (["predict", "--model", path, "--i", 0, "--j", 0, "--k", 0],
+                    ["evaluate", "--model", path, "--test", tmp_path / "unread.coo",
+                     "--report", tmp_path / "r.json"])
+        for value in (-1, math.inf, -math.inf, 2.5):
+            path.write_text(json.dumps({**doc, name: value}))  # inf as Infinity
+            for argv in commands:
+                assert run(*argv) == 3, (value, argv[0])
+                err = capsys.readouterr().err
+                assert err.count("error: ") == 1 and f"'{name}'" in err, (value, err)
+
+    def test_deeply_nested_json_is_data_error(self, tmp_path, capsys):
+        path = tmp_path / "m.json"
+        path.write_text("[" * 50_000)
         assert self._predict(path) == 3
-        assert f"'{name}'" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "nested too deeply" in err
+        assert "Traceback" not in err
 
     def test_top_level_list_is_data_error(self, tmp_path, capsys):
         path = tmp_path / "m.json"

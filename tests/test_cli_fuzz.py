@@ -154,7 +154,8 @@ def _mutations(doc):
     return st.one_of(
         st.just(doc),
         st.sampled_from(sorted(doc)).map(drop),
-        st.tuples(st.sampled_from(dims), st.sampled_from([-1, -5, 0, 10**6, "x", None]))
+        st.tuples(st.sampled_from(dims), st.sampled_from([-1, -5, 0, 10**6, math.inf, -math.inf, 2.5,
+                                                      "x", None]))
         .map(lambda t: with_value(*t)),
         st.tuples(st.sampled_from(lists), st.sampled_from([-1, 1])).map(lambda t: resized(*t)),
         st.tuples(st.sampled_from(lists),

@@ -89,7 +89,7 @@ class TestNmuEpoch:
         data, _ = generate_synthetic(10, 5, 2, 0.3, 0.5, 0.02, seed=4)
         m = init_positive(10, 5, 2, 0, seed=4)
         for _ in range(10):
-            nmu_epoch(m, data, HyperParams(0.01, 0.01), mode="baseline")
+            nmu_epoch(m, data, HyperParams(0.01, 0.01))
         assert np.array_equal(m.weights.w, np.eye(5))
 
     def test_empty_training_set_is_identity(self):
@@ -197,7 +197,7 @@ def _mu_cases(draw):
     for arr in (model.S, model.U, model.Z, model.a, model.c, model.e, model.weights.band):
         arr[zero_rng.random(arr.shape) < 0.2] = 0.0
     hp = HyperParams(draw(st.floats(0.0, 1.0)), draw(st.floats(0.0, 1.0)))
-    return model, data, hp, draw(st.sampled_from(["att", "baseline"]))
+    return model, data, hp
 
 
 def _params(model):
@@ -209,9 +209,9 @@ class TestMuInvariants:
     @settings(max_examples=150, deadline=None)
     @given(_mu_cases())
     def test_one_epoch_keeps_the_invariants(self, case):
-        model, data, hp, mode = case
+        model, data, hp = case
         before = {name: arr.copy() for name, arr in _params(model).items()}
-        nmu_epoch(model, data, hp, mode=mode)
+        nmu_epoch(model, data, hp)
         after = _params(model)
         for name, arr in after.items():
             assert np.isfinite(arr).all() and (arr >= 0).all(), name
@@ -227,18 +227,16 @@ class TestMuInvariants:
                                 ("c", ~seen_j), ("Z", ~reached), ("e", ~reached),
                                 ("band", ~seen_k)):
             assert np.array_equal(after[name][untouched], before[name][untouched]), name
-        if mode == "baseline":
-            assert np.array_equal(after["band"], before["band"])
 
     @settings(max_examples=60, deadline=None)
     @given(_mu_cases(), st.integers(1, 4))
     def test_thread_count_does_not_change_bytes(self, case, chunk):
-        model, data, hp, mode = case
+        model, data, hp = case
         results = []
         with mock.patch.object(dyntf.trainer, "_CHUNK", chunk):
             for threads in (1, 3):
                 m = model.copy()
-                nmu_epoch(m, data, hp, mode=mode, threads=threads)
+                nmu_epoch(m, data, hp, threads=threads)
                 results.append(b"".join(arr.tobytes() for arr in _params(m).values()))
         assert results[0] == results[1]
 
@@ -305,8 +303,6 @@ class TestTrain:
             TrainConfig(max_epochs=0)
         with pytest.raises(ValueError):
             TrainConfig(tolerance=-1.0)
-        with pytest.raises(ValueError):
-            TrainConfig(mode="other")
 
 
 def _perturbed(model: FactorModel, coord, delta: float) -> FactorModel:
