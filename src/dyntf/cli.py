@@ -5,8 +5,8 @@ partition), train (fixed or adaptive hyperparameters), evaluate, predict.
 Every run is reproducible from its flags: seeds default to 0 and are
 echoed into reports, logs go to stderr, data goes to files only.
 
-Exit codes: 0 success, 2 usage error, 3 data error, 4 numerical
-divergence.
+Exit codes: 0 success, 2 usage error, 3 data error (or too little memory
+for the sizes asked), 4 numerical divergence.
 """
 
 from __future__ import annotations
@@ -279,7 +279,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         _log(f"error: {exc}")
         return 2
-    except (DataError, ValueError, OSError) as exc:
+    except (DataError, ValueError, OSError, MemoryError) as exc:
         _log(f"error: {exc}")
         return 3
     except DivergenceError as exc:

@@ -33,11 +33,6 @@ class ObservedEntry(NamedTuple):
 MAX_DIM = 2**63 - 1  # the largest N or K: every in-bounds index fits the int64 index arrays
 
 
-def _check_dims(n_nodes: int, n_slots: int) -> None:
-    if not (1 <= n_nodes <= MAX_DIM and 1 <= n_slots <= MAX_DIM):
-        raise ValueError(f"n_nodes and n_slots must lie in [1, 2**63 - 1], got {n_nodes}, {n_slots}")
-
-
 class SparseTensor:
     """Observed entries of an N x N x K nonnegative tensor.
 
@@ -49,7 +44,9 @@ class SparseTensor:
     """
 
     def __init__(self, n_nodes: int, n_slots: int, i, j, k, values):
-        _check_dims(n_nodes, n_slots)
+        if not (1 <= n_nodes <= MAX_DIM and 1 <= n_slots <= MAX_DIM):
+            raise ValueError("n_nodes and n_slots must lie in [1, 2**63 - 1], "
+                             f"got {n_nodes}, {n_slots}")
         self.n_nodes = int(n_nodes)
         self.n_slots = int(n_slots)
         self.i = np.ascontiguousarray(i, dtype=np.int64)
@@ -63,23 +60,27 @@ class SparseTensor:
             arr.setflags(write=False)
 
     def _validate(self) -> None:
-        n, k = self.n_nodes, self.n_slots
-        for name, arr, bound in (("i", self.i, n), ("j", self.j, n), ("k", self.k, k)):
-            if arr.size and (arr.min() < 0 or arr.max() >= bound):
-                raise DataError(f"{name} index out of bounds for declared size {bound}")
-        if self.values.size:
-            if not np.isfinite(self.values).all():
-                raise DataError("non-finite value in tensor")
-            if self.values.min() < 0:
-                raise DataError("negative value in tensor")
-        if n * n * k <= np.iinfo(np.int64).max:
-            linear = np.sort((self.i * n + self.j) * k + self.k)
-            repeated = linear[1:] == linear[:-1]
+        # The first bad entry, by its first fault in the reader's order: node
+        # bounds, slot bounds, sign, finiteness, then duplicate (the later copy).
+        n, K, v = self.n_nodes, self.n_slots, self.values
+        bad = np.flatnonzero((self.i < 0) | (self.i >= n) | (self.j < 0) | (self.j >= n)
+                             | (self.k < 0) | (self.k >= K) | ~((v >= 0) & (v < np.inf)))
+        stop = int(bad[0]) if bad.size else v.size
+        i, j, k = self.i[:stop], self.j[:stop], self.k[:stop]  # valid up to the first bad one
+        if n * n * K <= np.iinfo(np.int64).max:
+            key = (i * n + j) * K + k
+            # without a duplicate, the common case, no argsort is needed
+            order = key[:0] if np.diff(np.sort(key)).all() else np.argsort(key, kind="stable")
         else:  # the linear key would wrap: sort the (i, j, k) triples instead
-            triples = np.stack((self.i, self.j, self.k))[:, np.lexsort((self.k, self.j, self.i))]
-            repeated = (triples[:, 1:] == triples[:, :-1]).all(axis=0)
-        if repeated.any():
-            raise DataError("duplicate (i, j, k) entry")
+            order = np.lexsort((k, j, i))
+        triples = np.stack((i[order], j[order], k[order]))
+        # a stable sort keeps equal triples in entry order: all but the first are later copies
+        later = order[1:][(triples[:, 1:] == triples[:, :-1]).all(axis=0)]
+        if later.size:
+            p = int(later.min())
+            raise _BadEntry(p, f"duplicate {(int(i[p]), int(j[p]), int(k[p]))} at {{}}")
+        if bad.size:
+            raise _BadEntry(stop, _fault(self.i[stop], self.j[stop], self.k[stop], v[stop], n, K))
 
     @property
     def n_entries(self) -> int:
@@ -114,26 +115,21 @@ class DatasetStats:
     density: float
 
 
-def _parse_line(tokens: list[str], lineno: int, n_nodes: int, n_slots: int):
-    if len(tokens) != 4:
-        raise DataError(f"malformed line {lineno}: expected 'i j k value', got {len(tokens)} fields")
-    try:
-        i, j, k = int(tokens[0]), int(tokens[1]), int(tokens[2])
-    except ValueError:
-        raise DataError(f"malformed line {lineno}: indices must be integers") from None
-    try:
-        value = float(tokens[3])
-    except ValueError:
-        raise DataError(f"malformed line {lineno}: value is not a number") from None
-    if i < 0 or i >= n_nodes or j < 0 or j >= n_nodes:
-        raise DataError(f"node index out of bounds at line {lineno}: ({i}, {j}) with N={n_nodes}")
-    if k < 0 or k >= n_slots:
-        raise DataError(f"slot index out of bounds at line {lineno}: {k} with K={n_slots}")
-    if value < 0:
-        raise DataError(f"negative value at line {lineno}")
-    if not np.isfinite(value):
-        raise DataError(f"non-finite value at line {lineno}")
-    return i, j, k, value
+class _BadEntry(DataError):
+    """Entry `entry` is bad; `template` is the message, with `{}` where it names the entry."""
+
+    def __init__(self, entry: int, template: str):
+        super().__init__(template.format(f"entry {entry}"))
+        self.entry, self.template = entry, template
+
+
+def _fault(i: int, j: int, k: int, value: float, n_nodes: int, n_slots: int) -> str:
+    """The message of the first fault of an entry known to have one, for _BadEntry."""
+    if not (0 <= i < n_nodes and 0 <= j < n_nodes):
+        return f"node index out of bounds at {{}}: ({i}, {j}) with N={n_nodes}"
+    if not 0 <= k < n_slots:
+        return f"slot index out of bounds at {{}}: {k} with K={n_slots}"
+    return "negative value at {}" if value < 0 else "non-finite value at {}"
 
 
 def load_coo(source, n_nodes: int | None = None, n_slots: int | None = None) -> SparseTensor:
@@ -148,7 +144,7 @@ def load_coo(source, n_nodes: int | None = None, n_slots: int | None = None) -> 
         DataError: malformed record, out-of-bounds index, negative or
             non-finite value, duplicate coordinate (all with the offending
             line number), or missing dimensions.
-        ValueError: N or K below 1 or above 2**63 - 1, before any record is read.
+        ValueError: N or K below 1 or above 2**63 - 1, whatever the records hold.
     """
     if hasattr(source, "read"):
         return _load_coo_stream(source, n_nodes, n_slots)
@@ -157,11 +153,11 @@ def load_coo(source, n_nodes: int | None = None, n_slots: int | None = None) -> 
 
 
 def _load_coo_stream(stream, n_nodes, n_slots) -> SparseTensor:
-    # One pass in bulk: the data lines are tokenised together, numpy casts
-    # each column (str -> int64/float64 calls int()/float() per token, so it
-    # accepts the same tokens and gives the same doubles), and SparseTensor
-    # checks bounds, signs, finiteness and duplicates once. Any failure hands
-    # the text to the line-by-line reader, which names the first bad line.
+    # One pass in bulk: numpy casts the data columns (str -> int64/float64
+    # calls int()/float() per token, so it accepts the same tokens and gives
+    # the same doubles), and SparseTensor names the first bad entry, mapped
+    # here to its line. Only the first row numpy cannot read is looked at
+    # alone, once the rows before it pass, so an earlier bad line still wins.
     text = stream.read()
     if isinstance(text, bytes):
         text = text.decode("utf-8")
@@ -169,18 +165,46 @@ def _load_coo_stream(stream, n_nodes, n_slots) -> SparseTensor:
     start, n_nodes, n_slots = _take_header(lines, n_nodes, n_slots)
     if n_nodes is None or n_slots is None:
         raise DataError("tensor dimensions unknown: pass n_nodes/n_slots or add a %dims header")
-    _check_dims(n_nodes, n_slots)
     rows = [line for line in map(str.strip, lines[start:]) if line and line[0] != "#"]
     try:
-        # per line, not by the total: 3 + 5 fields would shift the columns
-        if set(map(len, map(str.split, rows))) - {4}:
-            raise ValueError("a record without 4 fields")
-        tokens = " ".join(rows).split()
-        i, j, k = (np.array(tokens[c::4], dtype=np.int64) for c in range(3))
-        return SparseTensor(n_nodes, n_slots, i, j, k,
-                            np.array(tokens[3::4], dtype=np.float64))
-    except (ValueError, OverflowError, DataError):
-        return _load_lines(lines, start, n_nodes, n_slots)
+        columns = _columns(rows)
+        if columns is not None:
+            return SparseTensor(n_nodes, n_slots, *columns)
+        lo, bad = 0, len(rows)
+        while lo < bad:  # rows[:lo] cast; the first row that does not is in [lo, bad]
+            mid = (lo + bad) // 2
+            lo, bad = (mid + 1, bad) if _columns(rows[lo:mid + 1]) is not None else (lo, mid)
+        SparseTensor(n_nodes, n_slots, *_columns(rows[:bad]))  # an earlier bad row wins
+        tokens = rows[bad].split()
+        if len(tokens) != 4:
+            raise _BadEntry(bad, "malformed {}: expected 'i j k value', "
+                                 f"got {len(tokens)} fields")
+        template = "malformed {}: indices must be integers"
+        try:
+            i, j, k = map(int, tokens[:3])
+            template = "malformed {}: value is not a number"
+            float(tokens[3])
+        except ValueError:
+            raise _BadEntry(bad, template)
+        # numpy casts every index int() reads that fits int64, and one past
+        # int64 is out of bounds (N, K <= MAX_DIM)
+        raise _BadEntry(bad, _fault(i, j, k, 0.0, n_nodes, n_slots))
+    except _BadEntry as exc:  # number the lines only now that one is bad
+        lineno = [n for n, row in enumerate(map(str.strip, lines[start:]), start + 1)
+                  if row and row[0] != "#"][exc.entry]
+        raise DataError(exc.template.format(f"line {lineno}")) from None
+
+
+def _columns(rows: list[str]) -> list[np.ndarray] | None:
+    """i, j, k and value arrays, or None if a row lacks 4 fields or numpy cannot cast a token."""
+    if set(map(len, map(str.split, rows))) - {4}:  # per row: 3 + 5 fields would shift columns
+        return None
+    tokens = " ".join(rows).split()
+    try:
+        return ([np.array(tokens[c::4], dtype=np.int64) for c in range(3)]
+                + [np.array(tokens[3::4], dtype=np.float64)])
+    except (ValueError, OverflowError):
+        return None
 
 
 def _take_header(lines: list[str], n_nodes, n_slots):
@@ -206,30 +230,6 @@ def _take_header(lines: list[str], n_nodes, n_slots):
             raise DataError(f"declared n_slots {n_slots} disagrees with %dims header {hk}")
         return lineno, hn, hk
     return len(lines), n_nodes, n_slots
-
-
-def _load_lines(lines: list[str], start: int, n_nodes: int, n_slots: int) -> SparseTensor:
-    """The line-by-line reader, run only when the bulk pass fails: it raises
-    the error of the first bad line, or builds the tensor if there is none."""
-    ii: list[int] = []
-    jj: list[int] = []
-    kk: list[int] = []
-    vals: list[float] = []
-    seen: set[tuple[int, int, int]] = set()
-    for lineno, line in enumerate(lines[start:], start=start + 1):
-        tokens = line.split()
-        if not tokens or tokens[0].startswith("#"):
-            continue
-        i, j, k, value = _parse_line(tokens, lineno, n_nodes, n_slots)
-        key = (i, j, k)
-        if key in seen:
-            raise DataError(f"duplicate {key} at line {lineno}")
-        seen.add(key)
-        ii.append(i)
-        jj.append(j)
-        kk.append(k)
-        vals.append(value)
-    return SparseTensor(n_nodes, n_slots, ii, jj, kk, vals)
 
 
 def save_coo(tensor: SparseTensor, dest) -> None:

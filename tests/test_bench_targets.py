@@ -43,9 +43,15 @@ def test_wrapped_train_records_spans(tmp_path, monkeypatch):
     assert spans.install(recorder) == []
 
     data, _ = dyntf.generate_synthetic(12, 5, 2, 0.3, 0.5, 0.01, seed=4)
-    parts = dyntf.split(data, (7, 1, 2), seed=4)
-    dyntf.save_coo(parts.train, tmp_path / "tr.coo")
-    dyntf.save_coo(parts.validation, tmp_path / "va.coo")
+    dyntf.save_coo(data, tmp_path / "data.coo")
+    recorder.spans.clear()
+    assert main(["split", "--input", str(tmp_path / "data.coo"), "--seed", "4",
+                 "--out-train", str(tmp_path / "tr.coo"), "--out-val", str(tmp_path / "va.coo"),
+                 "--out-test", str(tmp_path / "te.coo")]) == 0
+    # the reader, the tensor build, the split and the writer, each by its traced name
+    assert {"tensor.load_coo", "tensor.sparse_tensor_init", "tensor.split",
+            "tensor.save_coo"} <= {span["name"] for span in recorder.spans}
+    n_train = dyntf.load_coo(tmp_path / "tr.coo").n_entries
     base = ["train", "--train", str(tmp_path / "tr.coo"), "--val", str(tmp_path / "va.coo"),
             "--rank", "2", "--max-epochs", "3", "--threads", "2",
             "--out", str(tmp_path / "m.json"), "--report", str(tmp_path / "r.json")]
@@ -57,7 +63,7 @@ def test_wrapped_train_records_spans(tmp_path, monkeypatch):
         assert {"trainer.nmu_epoch", "metrics.score", "model.compute_temporal",
                 "model.predict_entries", "trainer.validation_metrics"} <= names
         epochs = [s for s in recorder.spans if s["name"] == "trainer.nmu_epoch"]
-        assert all(s["attrs"]["entries"] == parts.train.n_entries for s in epochs)
+        assert all(s["attrs"]["entries"] == n_train for s in epochs)
         assert all(s["end"] is not None for s in recorder.spans)
     assert {"tuner.evaluate_individual", "tuner.update_best"} <= names
     assert all("tau_changed" in s["attrs"] for s in recorder.spans

@@ -1,7 +1,11 @@
 import json
 import math
 import os
+import resource
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -481,6 +485,37 @@ def test_failed_write_leaves_no_partial_file(tmp_path, write, existing):
     assert os.listdir(tmp_path) == (["out"] if existing else [])
     if existing:
         assert target.read_text() == "old\n"
+
+
+_TB = 1_000_000_000_000
+
+
+@pytest.mark.parametrize("dims, argv", [
+    (f"{_TB} {_TB} 2", ["train"]),
+    ("4 4 3", ["train", "--rank", _TB]),
+    (None, ["generate", "--nodes", _TB, "--slots", 1, "--density", 1e-24]),
+])
+def test_out_of_memory_is_data_error(tmp_path, dims, argv):
+    # Each run asks numpy for terabytes. The child runs with its address space
+    # capped at 2 GiB, so the request fails at once and a regression fails
+    # this test instead of exhausting the machine.
+    if dims:
+        (tmp_path / "t.coo").write_text(f"%dims {dims}\n0 0 0 1.0\n1 1 1 2.0\n")
+        argv += ["--train", "t.coo", "--val", "t.coo", "--lambda", 0.01, "--lambda-b", 0.01,
+                 "--out", "m.json", "--report", "r.json"]
+    else:
+        argv += ["--out", "g.coo", "--truth-out", "g.json"]
+    cap = 2 << 30
+    src = str(Path(dyntf.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-m", "dyntf.cli", *map(str, argv)], cwd=tmp_path,
+        capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1"},
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)))
+    assert proc.returncode == 3, proc.stderr
+    assert len(proc.stderr.splitlines()) == 1
+    assert proc.stderr.startswith("error: Unable to allocate")
+    assert sorted(os.listdir(tmp_path)) == (["t.coo"] if dims else [])
 
 
 def test_unknown_command_exits_nonzero():

@@ -1,4 +1,5 @@
 import io
+import re
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from hypothesis import strategies as st
 
 import dyntf
 from dyntf import DataError, SparseTensor, compute_stats, generate_synthetic, load_coo, save_coo, split
-from dyntf.tensor import _parse_line, _sample_positions
+from dyntf.tensor import _sample_positions
 
 
 def _load(text, **kw):
@@ -79,6 +80,15 @@ class TestLoadCoo:
             _load("0 0 0 1.0\n0 0 0 2.0\n0 0 9 1.0\n", n_nodes=1, n_slots=1)
         with pytest.raises(DataError, match="out of bounds at line 1"):
             _load("0 0 9 1.0\n0 0 0 1.0\n0 0 0 2.0\n", n_nodes=1, n_slots=1)
+        # a record numpy cannot cast is looked at only after the ones before it
+        with pytest.raises(DataError, match=r"duplicate \(0, 0, 0\) at line 2"):
+            _load("0 0 0 1.0\n0 0 0 2.0\n0 0 0 xyz\n", n_nodes=1, n_slots=1)
+        with pytest.raises(DataError, match="malformed line 2: value is not a number"):
+            _load("0 0 0 1.0\n0 0 0 xyz\n0 0 0 2.0\n", n_nodes=1, n_slots=1)
+        with pytest.raises(DataError, match="negative value at line 1"):
+            _load("0 0 0 -1.0\n99999999999999999999 0 0 1.0\n", n_nodes=1, n_slots=1)
+        with pytest.raises(DataError, match=r"node index out of bounds at line 2: \(-9{20}, 0\)"):
+            _load("0 0 0 1.0\n-99999999999999999999 0 0 1.0\n", n_nodes=1, n_slots=1)
 
     def test_record_fields_checked_per_line(self):
         # 3 + 5 fields make 8 tokens that read as two valid records,
@@ -101,6 +111,28 @@ def test_round_trip_exact(tmp_path, small_tensor):
     back = load_coo(path)
     assert back.entries == t.entries
     assert np.array_equal(back.values, t.values)
+
+
+def _parse_line(tokens, lineno, n_nodes, n_slots):
+    if len(tokens) != 4:
+        raise DataError(f"malformed line {lineno}: expected 'i j k value', got {len(tokens)} fields")
+    try:
+        i, j, k = int(tokens[0]), int(tokens[1]), int(tokens[2])
+    except ValueError:
+        raise DataError(f"malformed line {lineno}: indices must be integers") from None
+    try:
+        value = float(tokens[3])
+    except ValueError:
+        raise DataError(f"malformed line {lineno}: value is not a number") from None
+    if i < 0 or i >= n_nodes or j < 0 or j >= n_nodes:
+        raise DataError(f"node index out of bounds at line {lineno}: ({i}, {j}) with N={n_nodes}")
+    if k < 0 or k >= n_slots:
+        raise DataError(f"slot index out of bounds at line {lineno}: {k} with K={n_slots}")
+    if value < 0:
+        raise DataError(f"negative value at line {lineno}")
+    if not np.isfinite(value):
+        raise DataError(f"non-finite value at line {lineno}")
+    return i, j, k, value
 
 
 def _reference_load(text, n_nodes=None, n_slots=None):
@@ -156,7 +188,8 @@ def _outcome(read, text, kw):
 
 
 _FILLER = st.sampled_from(["", "   ", "\t", "# comment", "  # 1 2 3 4", "#%dims 9 9 9"])
-_SEP = st.sampled_from([" ", "  ", "\t", " \t "])
+# every Unicode whitespace separates fields, for str.split and numpy alike
+_SEP = st.sampled_from([" ", "  ", "\t", " \t ", "\x0b", "\x1c", "\u3000", "\xa0"])
 _DOUBLES = st.floats(min_value=0.0, allow_nan=False, allow_infinity=False)
 
 
@@ -173,8 +206,11 @@ def coo_documents(draw):
         lines.append(f"%dims {n}{draw(_SEP)}{n} {slots}")
     for cell in cells:
         value = draw(_DOUBLES)
-        text = draw(st.sampled_from([repr(value), f"{value:.17e}", f"{value:.3f}"]))
-        fields = [str(c) for c in cell] + [text]
+        text = draw(st.sampled_from([repr(value), f"{value:.17e}", f"{value:.3f}",
+                                     "+1", "01", "1_0", "\u0663"]))
+        # int() reads a sign, leading zeros, underscores and any Unicode digit
+        fields = [draw(st.sampled_from([str(c), f"+{c}", f"0{c}", f"0_{c}", chr(0x660 + c)]))
+                  for c in cell] + [text]
         lines.append(draw(st.sampled_from(["", " ", "\t"])) + draw(_SEP).join(fields))
         lines.extend(draw(_FILLER) for _ in range(draw(st.integers(0, 1))))
     if header and draw(st.booleans()):
@@ -201,7 +237,8 @@ def test_reader_matches_line_reference(doc, newline, trailing):
 _FAULTS = ["0 1", "0 0 0 1.0 5", "a b c 1.0", "0 0 0 xyz", "0 0 0 inf", "0 0 0 nan",
            "0 0 0 -1.0", "-1 0 0 1.0", "9 0 0 1.0", "0 0 9 1.0", "0 0 0 1e400",
            "99999999999999999999 0 0 1.0", "%dims 3 3 3", "%dims 3 4 2", "%dims a b c",
-           "%dims 3 3", "1.5 0 0 1.0", "0 0 0 1_0", "DUPLICATE"]
+           "%dims 3 3", "1.5 0 0 1.0", "0 0 0 1_0", "0 0 -99999999999999999999 1.0",
+           "0 0 0 -inf", "0 0 0 \u0663", "DUPLICATE"]
 
 
 @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -247,16 +284,43 @@ def test_take_subset(small_tensor):
 
 
 def test_constructor_validation():
-    with pytest.raises(DataError, match="out of bounds"):
+    with pytest.raises(DataError, match=r"^node index out of bounds at entry 0: \(2, 0\) with N=2$"):
         SparseTensor(2, 2, [2], [0], [0], [1.0])
-    with pytest.raises(DataError, match="negative"):
+    with pytest.raises(DataError, match="^slot index out of bounds at entry 1: 2 with K=2$"):
+        SparseTensor(2, 2, [0, 0], [0, 0], [0, 2], [1.0, 1.0])
+    with pytest.raises(DataError, match="^negative value at entry 0$"):
         SparseTensor(2, 2, [0], [0], [0], [-1.0])
-    with pytest.raises(DataError, match="duplicate"):
+    with pytest.raises(DataError, match="^negative value at entry 0$"):
+        SparseTensor(2, 2, [0], [0], [0], [-np.inf])
+    with pytest.raises(DataError, match=r"^duplicate \(0, 1, 0\) at entry 1$"):
         SparseTensor(2, 2, [0, 0], [1, 1], [0, 0], [1.0, 2.0])
-    with pytest.raises(DataError, match="non-finite"):
+    with pytest.raises(DataError, match="^non-finite value at entry 0$"):
         SparseTensor(2, 2, [0], [0], [0], [np.nan])
+    # the first bad entry wins over the order of fault kinds
+    with pytest.raises(DataError, match=r"^duplicate \(0, 0, 0\) at entry 1$"):
+        SparseTensor(2, 2, [0, 0, 5], [0, 0, 0], [0, 0, 0], [1.0] * 3)
     with pytest.raises(ValueError, match="n_nodes and n_slots"):
         SparseTensor(2**63, 1, [], [], [], [])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(*[st.sampled_from([0, 1, 2] * 4 + [-1, 3])] * 2,
+                          st.sampled_from([0, 1] * 6 + [-1, 2]),
+                          st.sampled_from([0.0, 1.0, 2.5] * 5 + [-1.0, np.inf, -np.inf, np.nan])),
+                max_size=40))
+@example([(p % 3, 0, 0, 1.0) for p in range(40)])  # an unstable sort misorders long runs
+def test_constructor_names_the_reference_entry(entries):
+    # the same records as text: entry p is line p + 1 for the line-by-line reference
+    text = "".join(f"{a} {b} {c} {v!r}\n" for a, b, c, v in entries)
+    expected = _outcome(_reference_load, text, {"n_nodes": 3, "n_slots": 2})
+    columns = [list(c) for c in zip(*entries)] or [[], [], [], []]
+    try:
+        tensor = SparseTensor(3, 2, *columns)
+    except DataError as exc:
+        got = ("DataError", re.sub(r"at entry (\d+)", lambda m: f"at line {int(m[1]) + 1}", str(exc)))
+    else:
+        got = _outcome(lambda _text: tensor, text, {})
+    assert got == expected
 
 
 def test_duplicate_check_at_dims_past_int64():
@@ -266,7 +330,7 @@ def test_duplicate_check_at_dims_past_int64():
     t = SparseTensor(n, k, [1, 3], [0, 0], [0, 0], [1.0, 1.0])
     assert t.n_entries == 2
     SparseTensor(n, k, [5, 5, 5], [n - 1, n - 1, 0], [k - 1, k - 2, k - 1], [1.0] * 3)
-    with pytest.raises(DataError, match="duplicate"):
+    with pytest.raises(DataError, match=rf"^duplicate \(1, {n - 1}, {k - 1}\) at entry 2$"):
         SparseTensor(n, k, [1, 3, 1], [n - 1, 0, n - 1], [k - 1, 0, k - 1], [1.0] * 3)
 
 
