@@ -36,5 +36,21 @@ def write_json(path, doc: dict) -> None:
     or infinite float raises ValueError, since JSON has no such number,
     and leaves `path` as it was."""
     with open_atomic(path) as fh:
-        json.dump(doc, fh, indent=2, allow_nan=False)
-        fh.write("\n")
+        fh.write(_indented(doc, "") + "\n")
+
+
+def _indented(value, pad: str) -> str:
+    """`value` as json.dumps(value, indent=2) lays it out at indent `pad`, but
+    each list of plain numbers goes through json's C encoder in one call."""
+    inner, sep = pad + "  ", ",\n" + pad + "  "
+    if isinstance(value, list) and value:
+        if set(map(type, value)) <= {int, float}:  # no number holds ", "
+            body = json.dumps(value, allow_nan=False)[1:-1].replace(", ", sep)
+        else:
+            body = sep.join([_indented(v, inner) for v in value])
+        return f"[\n{inner}{body}\n{pad}]"
+    if isinstance(value, dict) and value and set(map(type, value)) == {str}:
+        body = sep.join([f"{json.dumps(k)}: {_indented(v, inner)}" for k, v in value.items()])
+        return f"{{\n{inner}{body}\n{pad}}}"
+    # JSON strings escape every newline, so each one here is layout
+    return json.dumps(value, indent=2, allow_nan=False).replace("\n", "\n" + pad)

@@ -153,11 +153,10 @@ def load_coo(source, n_nodes: int | None = None, n_slots: int | None = None) -> 
 
 
 def _load_coo_stream(stream, n_nodes, n_slots) -> SparseTensor:
-    # One pass in bulk: numpy casts the data columns (str -> int64/float64
-    # calls int()/float() per token, so it accepts the same tokens and gives
-    # the same doubles), and SparseTensor names the first bad entry, mapped
-    # here to its line. Only the first row numpy cannot read is looked at
-    # alone, once the rows before it pass, so an earlier bad line still wins.
+    # One pass in bulk: _columns reads the data rows to the numbers int() and
+    # float() give, and SparseTensor names the first bad entry, mapped here to
+    # its line. Only the first row _columns cannot read is looked at alone,
+    # once the rows before it pass, so an earlier bad line still wins.
     text = stream.read()
     if isinstance(text, bytes):
         text = text.decode("utf-8")
@@ -196,7 +195,18 @@ def _load_coo_stream(stream, n_nodes, n_slots) -> SparseTensor:
 
 
 def _columns(rows: list[str]) -> list[np.ndarray] | None:
-    """i, j, k and value arrays, or None if a row lacks 4 fields or numpy cannot cast a token."""
+    """i, j, k and value arrays, or None if a row lacks 4 fields or a token is not one
+    int()/float() reads. numpy's C reader, which reads a subset to the same numbers, goes first."""
+    try:  # no rows go to the str cast, as loadtxt warns about them
+        if rows:
+            return list(np.loadtxt(rows, dtype="i8,i8,i8,f8", comments=None, ndmin=1, unpack=True))
+    except ValueError:
+        pass
+    return _cast_tokens(rows)
+
+
+def _cast_tokens(rows: list[str]) -> list[np.ndarray] | None:
+    """_columns by str casts, which call int()/float() on each token."""
     if set(map(len, map(str.split, rows))) - {4}:  # per row: 3 + 5 fields would shift columns
         return None
     tokens = " ".join(rows).split()
@@ -245,8 +255,12 @@ def save_coo(tensor: SparseTensor, dest) -> None:
 
 def _save_coo_stream(tensor: SparseTensor, fh) -> None:
     fh.write(f"%dims {tensor.n_nodes} {tensor.n_nodes} {tensor.n_slots}\n")
+    columns = []
+    for col in (tensor.i, tensor.j, tensor.k):  # str() each distinct index once
+        distinct, where = np.unique(col, return_inverse=True)
+        columns.append(np.array(list(map(str, distinct.tolist())), dtype=object)[where].tolist())
     fh.write("".join([f"{a} {b} {c} {v!r}\n" for a, b, c, v in zip(
-        tensor.i.tolist(), tensor.j.tolist(), tensor.k.tolist(), tensor.values.tolist())]))
+        *columns, tensor.values.tolist())]))
 
 
 def split(tensor: SparseTensor, ratios, seed: int) -> DatasetSplit:

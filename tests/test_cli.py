@@ -466,7 +466,7 @@ def _fail_model(path):
         S=np.ones((2, 1)), U=np.ones((2, 1)), Z=np.ones((1, 1)),
         a=np.ones(2), c=np.ones(2), e=np.ones(1),
         weights=dyntf.TemporalWeights(band=np.zeros((1, 0))))
-    # json.dump writes the factors before it meets the object it cannot encode
+    # the document fails to encode after its temporary file is opened
     dyntf.save_model(m, dyntf.HyperParams(0.0, 0.0), path, extra={"bad": object()})
 
 

@@ -1,5 +1,6 @@
 import io
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 
 import dyntf
 from dyntf import DataError, SparseTensor, compute_stats, generate_synthetic, load_coo, save_coo, split
-from dyntf.tensor import _sample_positions
+from dyntf.tensor import MAX_DIM, _sample_positions
 
 
 def _load(text, **kw):
@@ -189,28 +190,38 @@ def _outcome(read, text, kw):
 
 _FILLER = st.sampled_from(["", "   ", "\t", "# comment", "  # 1 2 3 4", "#%dims 9 9 9"])
 # every Unicode whitespace separates fields, for str.split and numpy alike
-_SEP = st.sampled_from([" ", "  ", "\t", " \t ", "\x0b", "\x1c", "\u3000", "\xa0"])
+_SEP = st.sampled_from([" ", "  ", "\t", " \t ", "\x0b", "\x0c", "\x1c", "\x85", "\u2028",
+                        "\u3000", "\xa0"])
 _DOUBLES = st.floats(min_value=0.0, allow_nan=False, allow_infinity=False)
 
 
 @st.composite
-def coo_documents(draw):
-    """A valid COO text as its lines, plus the load_coo keywords it needs."""
+def coo_documents(draw, fast=False):
+    """A valid COO text as its lines, plus the load_coo keywords it needs.
+
+    With `fast`, every token is one numpy's C reader reads (and int()/float()
+    too), and there is at least one record; the values may be infinite."""
     n = draw(st.integers(1, 5))
     slots = draw(st.integers(1, 4))
     cells = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1),
-                                    st.integers(0, slots - 1)), unique=True, max_size=10))
+                                    st.integers(0, slots - 1)), unique=True,
+                          min_size=int(fast), max_size=10))
     lines = [draw(_FILLER) for _ in range(draw(st.integers(0, 2)))]
     header = draw(st.booleans())
     if header:
         lines.append(f"%dims {n}{draw(_SEP)}{n} {slots}")
     for cell in cells:
         value = draw(_DOUBLES)
-        text = draw(st.sampled_from([repr(value), f"{value:.17e}", f"{value:.3f}",
-                                     "+1", "01", "1_0", "\u0663"]))
-        # int() reads a sign, leading zeros, underscores and any Unicode digit
-        fields = [draw(st.sampled_from([str(c), f"+{c}", f"0{c}", f"0_{c}", chr(0x660 + c)]))
-                  for c in cell] + [text]
+        if fast:
+            text = draw(st.sampled_from([repr(value)] * 4 + [
+                f"{value:.17e}", "Infinity", "1e500", "-0.0", ".5", "5.", "+1", "01"]))
+            fields = [draw(st.sampled_from([str(c), f"+{c}", f"0{c}"])) for c in cell] + [text]
+        else:
+            text = draw(st.sampled_from([repr(value), f"{value:.17e}", f"{value:.3f}",
+                                         "+1", "01", "1_0", "\u0663"]))
+            # int() reads a sign, leading zeros, underscores and any Unicode digit
+            fields = [draw(st.sampled_from([str(c), f"+{c}", f"0{c}", f"0_{c}", chr(0x660 + c)]))
+                      for c in cell] + [text]
         lines.append(draw(st.sampled_from(["", " ", "\t"])) + draw(_SEP).join(fields))
         lines.extend(draw(_FILLER) for _ in range(draw(st.integers(0, 1))))
     if header and draw(st.booleans()):
@@ -234,11 +245,33 @@ def test_reader_matches_line_reference(doc, newline, trailing):
     assert _outcome(lambda t, **k: load_coo(io.BytesIO(t.encode()), **k), text, kw) == expected
 
 
+def _no_str_cast(rows):
+    raise AssertionError(f"str cast reached for {rows!r}")
+
+
+@settings(max_examples=150, deadline=None)
+@given(coo_documents(fast=True), st.sampled_from(["\n", "\r\n"]), st.booleans())
+def test_c_reader_alone_matches_line_reference(doc, newline, trailing):
+    lines, kw = doc
+    text = _join(lines, newline, trailing)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr("dyntf.tensor._cast_tokens", _no_str_cast)
+        assert _outcome(_load, text, kw) == _outcome(_reference_load, text, kw)
+
+
+def test_dims_only_file_loads_no_entries_silently():
+    # numpy's reader warns on no rows; the reader never hands it none
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        t = _load("%dims 3 3 2\n# nothing observed\n\n")
+    assert (t.n_nodes, t.n_slots, t.n_entries) == (3, 2, 0)
+
+
 _FAULTS = ["0 1", "0 0 0 1.0 5", "a b c 1.0", "0 0 0 xyz", "0 0 0 inf", "0 0 0 nan",
            "0 0 0 -1.0", "-1 0 0 1.0", "9 0 0 1.0", "0 0 9 1.0", "0 0 0 1e400",
            "99999999999999999999 0 0 1.0", "%dims 3 3 3", "%dims 3 4 2", "%dims a b c",
            "%dims 3 3", "1.5 0 0 1.0", "0 0 0 1_0", "0 0 -99999999999999999999 1.0",
-           "0 0 0 -inf", "0 0 0 \u0663", "DUPLICATE"]
+           "0 0 0 -inf", "0 0 0 \u0663", "0 0\r0 1.0", "0 0 0 0x10", "DUPLICATE"]
 
 
 @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -270,6 +303,32 @@ def test_save_load_round_trips_every_double(values):
     back = _load(buf.getvalue())
     assert back.values.tobytes() == t.values.tobytes()
     assert back.entries == t.entries
+
+
+def _reference_save(tensor):
+    """The per-row writer that formats every index on its own, kept as the
+    oracle of the one that formats each distinct index once."""
+    return (f"%dims {tensor.n_nodes} {tensor.n_nodes} {tensor.n_slots}\n"
+            + "".join([f"{a} {b} {c} {v!r}\n" for a, b, c, v in zip(
+                tensor.i.tolist(), tensor.j.tolist(), tensor.k.tolist(), tensor.values.tolist())]))
+
+
+_INDICES = st.sampled_from([0, 1, 2, 10, 2**53 + 1, MAX_DIM - 2, MAX_DIM - 1])
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from([(11, 3), (MAX_DIM, MAX_DIM)]),
+       st.lists(st.tuples(_INDICES, _INDICES, _INDICES, _DOUBLES),
+                unique_by=lambda e: e[:3], max_size=30))
+@example((11, 3), [])
+def test_writer_matches_per_row_reference(dims, entries):
+    n, k = dims
+    entries = [e for e in entries if max(e[:2]) < n and e[2] < k]
+    columns = [list(c) for c in zip(*entries)] or [[], [], [], []]
+    t = SparseTensor(n, k, *columns)
+    buf = io.StringIO()
+    save_coo(t, buf)
+    assert buf.getvalue() == _reference_save(t)
 
 
 def test_tensor_arrays_read_only(small_tensor):
