@@ -258,9 +258,12 @@ def _save_coo_stream(tensor: SparseTensor, fh) -> None:
     columns = []
     for col in (tensor.i, tensor.j, tensor.k):  # str() each distinct index once
         distinct, where = np.unique(col, return_inverse=True)
-        columns.append(np.array(list(map(str, distinct.tolist())), dtype=object)[where].tolist())
-    fh.write("".join([f"{a} {b} {c} {v!r}\n" for a, b, c, v in zip(
-        *columns, tensor.values.tolist())]))
+        columns.append((np.array(list(map(str, distinct.tolist())), dtype=object), where))
+    block = 65536  # lines formatted per write, which bounds the text held at once
+    for lo in range(0, len(tensor.i), block):
+        fh.write("".join([f"{a} {b} {c} {v!r}\n" for a, b, c, v in zip(
+            *(text[where[lo:lo + block]].tolist() for text, where in columns),
+            tensor.values[lo:lo + block].tolist())]))
 
 
 def split(tensor: SparseTensor, ratios, seed: int) -> DatasetSplit:

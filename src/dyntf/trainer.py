@@ -21,11 +21,11 @@ swarm uses it too), runs them; `threads` only sets how many are in flight.
 The chunk size is a constant, never derived from `threads` or the machine:
 the chunk grid fixes the summation order and so the bytes of the model.
 Its value, 8192 entries, came from a sweep of 4096/8192/16384 on a
-2000-node rank-20 tensor and a 2000-slot rank-10 one at 1 and 2 threads:
-at rank 20 a chunk's per-entry temporaries are then 1.3 MB each, which
-stay in a 2 MB L2 cache (32768 made them 5.2 MB), and 100k entries make
-13 chunks, which two threads share evenly (32768 made 4, three full and
-one short).
+2000-node rank-20 tensor and a 2000-slot rank-10 one at 1 and 2 threads.
+Memory is one workspace per worker per epoch: a float and an index buffer
+of one chunk's rows, 1.3 MB each at rank 20. A chunk writes its products
+and keys there and into its own spent gathers, so its three row gathers
+are its only fresh chunk-sized arrays; no operand or order changes.
 
 `train` and the tuner's `adapt_train` are steps of one epoch loop,
 `_run_epochs`, which records the scores, stops and builds the report.
@@ -35,6 +35,7 @@ whose (K, 0) band makes that update a no-op.
 
 from __future__ import annotations
 
+import queue
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -107,26 +108,30 @@ class TrainReport:
 # divergence shows up as inf/nan accumulators and is reported through
 # DivergenceError, so the intermediate FP warnings are pure noise
 @np.errstate(over="ignore", invalid="ignore")
-def _chunk_sums(model, z_hat, e_hat, data, lo, hi):
+def _chunk_sums(model, z_hat, e_hat, data, lo, hi, workspace):
     ii = data.i[lo:hi]
     jj = data.j[lo:hi]
     kk = data.k[lo:hi]
     x = data.values[lo:hi]
+    products, keys = (buf[:hi - lo] for buf in workspace)
     si = model.S[ii]
     uj = model.U[jj]
     zk = z_hat[kk]
-    su = si * uj
+    su = np.multiply(si, uj, out=products)
     pred = predict_rows(su, zk, model.a[ii], model.c[jj], e_hat[kk])
+    uj *= zk  # the S rows
+    si *= zk  # the U rows; zk is spent and holds the weighted rows below
     n, k, rank = model.n_nodes, model.n_slots, model.rank
     sums = {}
-    for idx, rows, groups, names in ((ii, uj * zk, n, ("num_s", "den_s", "num_a", "den_a")),
-                                     (jj, si * zk, n, ("num_u", "den_u", "num_c", "den_c")),
+    for idx, rows, groups, names in ((ii, uj, n, ("num_s", "den_s", "num_a", "den_a")),
+                                     (jj, si, n, ("num_u", "den_u", "num_c", "den_c")),
                                      (kk, su, k, ("g_num", "g_den", "h_num", "h_den"))):
         # row-wise scatter-add over one key array: out[g, d] += weight[n] *
         # rows[n, d] for every n with idx[n] == g
-        keys = (idx[:, None] * rank + np.arange(rank)).ravel()
+        np.add(idx[:, None] * rank, np.arange(rank), out=keys)
         for weight, row_name, bias_name in zip((x, pred), names[:2], names[2:]):
-            sums[row_name] = np.bincount(keys, weights=(weight[:, None] * rows).ravel(),
+            np.multiply(weight[:, None], rows, out=zk)
+            sums[row_name] = np.bincount(keys.ravel(), weights=zk.ravel(),
                                          minlength=groups * rank).reshape(groups, rank)
             sums[bias_name] = np.bincount(idx, weights=weight, minlength=groups)
     return sums
@@ -145,8 +150,19 @@ def _ordered_map(fn, items, threads):
 def _epoch_sums(model, z_hat, e_hat, data, threads):
     bounds = [(lo, min(lo + _CHUNK, data.n_entries))
               for lo in range(0, data.n_entries, _CHUNK)]
-    return _merge_in_order(_ordered_map(lambda b: _chunk_sums(model, z_hat, e_hat, data, *b),
-                                        bounds, threads))
+    shape = (min(_CHUNK, data.n_entries), model.rank)
+    free = queue.SimpleQueue()  # one workspace per chunk that can be in flight
+    for _ in range(min(threads, len(bounds))):
+        free.put((np.empty(shape), np.empty(shape, dtype=np.intp)))
+
+    def run(bound):
+        workspace = free.get()
+        try:
+            return _chunk_sums(model, z_hat, e_hat, data, *bound, workspace)
+        finally:
+            free.put(workspace)
+
+    return _merge_in_order(_ordered_map(run, bounds, threads))
 
 
 def _merge_in_order(parts):

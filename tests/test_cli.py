@@ -518,5 +518,25 @@ def test_out_of_memory_is_data_error(tmp_path, dims, argv):
     assert sorted(os.listdir(tmp_path)) == (["t.coo"] if dims else [])
 
 
+def test_swarm_larger_than_memory_is_data_error(tmp_path):
+    # Each replica is a small allocation, so without the size check the
+    # swarm would grow until the kernel kills the process; the capped child
+    # turns such a regression into a failed test.
+    (tmp_path / "t.coo").write_text("%dims 4 4 3\n0 0 0 1.0\n1 1 1 2.0\n")
+    argv = ["train", "--train", "t.coo", "--val", "t.coo", "--adapt", "--pop", _TB,
+            "--out", "m.json", "--report", "r.json"]
+    cap = 2 << 30
+    src = str(Path(dyntf.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-m", "dyntf.cli", *map(str, argv)], cwd=tmp_path,
+        capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1"},
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)))
+    assert proc.returncode == 3, proc.stderr
+    assert len(proc.stderr.splitlines()) == 1
+    assert proc.stderr.startswith(f"error: a swarm of {_TB} model replicas needs ")
+    assert os.listdir(tmp_path) == ["t.coo"]
+
+
 def test_unknown_command_exits_nonzero():
     assert run("frobnicate") == 2

@@ -331,6 +331,17 @@ def test_writer_matches_per_row_reference(dims, entries):
     assert buf.getvalue() == _reference_save(t)
 
 
+def test_writer_matches_reference_across_write_blocks():
+    # the writer formats 65536 lines at a time: two full blocks, one short
+    n = 2 * 65536 + 3
+    ii, rest = np.divmod(np.arange(n) * 7919 % (1000 * 1000 * 200), 1000 * 200)
+    jj, kk = np.divmod(rest, 200)
+    t = SparseTensor(1000, 200, ii, jj, kk, np.random.default_rng(4).uniform(0, 9, n))
+    buf = io.StringIO()
+    save_coo(t, buf)
+    assert buf.getvalue() == _reference_save(t)
+
+
 def test_tensor_arrays_read_only(small_tensor):
     with pytest.raises(ValueError):
         small_tensor.values[0] = 9.0

@@ -1,9 +1,10 @@
 import json
+import tracemalloc
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import dyntf
@@ -12,6 +13,7 @@ from dyntf import (DivergenceError, FactorModel, HyperParams, SparseTensor,
                    TemporalWeights, TrainConfig, analytic_gradient, band_indices,
                    compute_temporal, generate_synthetic, init_positive, model_to_dict,
                    nmu_epoch, objective, predict_entries, train)
+from dyntf.model import predict_rows
 
 
 def _single_entry_model(value=2.0):
@@ -151,7 +153,75 @@ def _reference_sums(model, data):
     return out
 
 
+@np.errstate(over="ignore", invalid="ignore")
+def _allocating_chunk_sums(model, z_hat, e_hat, data, lo, hi):
+    """The chunk accumulator as it was before it wrote into a workspace:
+    every temporary is a fresh array. The in-place version runs the same
+    operations on the same operands in the same order, so its sums must
+    be bit-equal to these."""
+    ii = data.i[lo:hi]
+    jj = data.j[lo:hi]
+    kk = data.k[lo:hi]
+    x = data.values[lo:hi]
+    si = model.S[ii]
+    uj = model.U[jj]
+    zk = z_hat[kk]
+    su = si * uj
+    pred = predict_rows(su, zk, model.a[ii], model.c[jj], e_hat[kk])
+    n, k, rank = model.n_nodes, model.n_slots, model.rank
+    sums = {}
+    for idx, rows, groups, names in ((ii, uj * zk, n, ("num_s", "den_s", "num_a", "den_a")),
+                                     (jj, si * zk, n, ("num_u", "den_u", "num_c", "den_c")),
+                                     (kk, su, k, ("g_num", "g_den", "h_num", "h_den"))):
+        keys = (idx[:, None] * rank + np.arange(rank)).ravel()
+        for weight, row_name, bias_name in zip((x, pred), names[:2], names[2:]):
+            sums[row_name] = np.bincount(keys, weights=(weight[:, None] * rows).ravel(),
+                                         minlength=groups * rank).reshape(groups, rank)
+            sums[bias_name] = np.bincount(idx, weights=weight, minlength=groups)
+    return sums
+
+
+_CHUNK = dyntf.trainer._CHUNK
+
+
 class TestEpochSums:
+    @settings(max_examples=25, deadline=None)
+    @given(rank=st.integers(1, 24),
+           n_entries=st.sampled_from([1, _CHUNK - 1, _CHUNK, _CHUNK + 1, 3 * _CHUNK + 457]),
+           window=st.sampled_from([0, 4]), threads=st.sampled_from([1, 2, 8]),
+           seed=st.integers(0, 2**16))
+    @example(rank=20, n_entries=3 * _CHUNK + 457, window=4, threads=8, seed=0)
+    @example(rank=1, n_entries=_CHUNK + 1, window=0, threads=2, seed=1)
+    def test_workspace_sums_equal_allocating_oracle(self, rank, n_entries, window, threads,
+                                                    seed):
+        # threads 8 is more workers than any of these inputs has chunks
+        data = _random_tensor(80, 30, n_entries, seed=seed)
+        model = init_positive(80, 30, rank, window, seed=seed)
+        z_hat, e_hat = compute_temporal(model)
+        sums = dyntf.trainer._epoch_sums(model, z_hat, e_hat, data, threads)
+        oracle = dyntf.trainer._merge_in_order(
+            _allocating_chunk_sums(model, z_hat, e_hat, data, lo, min(lo + _CHUNK, n_entries))
+            for lo in range(0, n_entries, _CHUNK))
+        assert sums.keys() == oracle.keys()
+        for name, expected in oracle.items():
+            assert sums[name].tobytes() == expected.tobytes(), name
+
+    @pytest.mark.parametrize("threads, buffers", [(1, 10), (2, 18)])
+    def test_peak_allocation_is_a_few_chunk_buffers(self, threads, buffers):
+        # Wide's shape at rank 20, over 5 chunks. Allocating every temporary
+        # afresh peaked at 11.3 chunk buffers at 1 thread and 20.5 at 2;
+        # one workspace per worker holds it to about 8.3 and 14.5.
+        data = _random_tensor(2000, 50, 5 * _CHUNK + 123, seed=5)
+        model = init_positive(2000, 50, 20, 0, seed=1)
+        z_hat, e_hat = compute_temporal(model)
+        tracemalloc.start()
+        try:
+            dyntf.trainer._epoch_sums(model, z_hat, e_hat, data, threads)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < buffers * _CHUNK * 20 * 8
+
     @pytest.mark.parametrize("chunk, n_entries", [
         (1, 301), (7, 301), (dyntf.trainer._CHUNK, 2 * dyntf.trainer._CHUNK + 123),
         (302, 301)])
