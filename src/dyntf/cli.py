@@ -279,8 +279,11 @@ def main(argv=None) -> int:
     except UsageError as exc:
         _log(f"error: {exc}")
         return 2
-    except (DataError, ValueError, OSError, MemoryError) as exc:
+    except (DataError, ValueError, OSError) as exc:
         _log(f"error: {exc}")
+        return 3
+    except MemoryError as exc:  # a failed Python allocation carries no message
+        _log(f"error: {str(exc) or 'out of memory'}")
         return 3
     except DivergenceError as exc:
         _log(f"error: {exc}")

@@ -7,8 +7,8 @@ coordinates are rejected. Tensors are immutable after construction and
 safe to share read-only across threads.
 
 Text format: one `i j k value` record per line, `#` starts a comment
-line, and an optional `%dims N N K` header may appear as the first
-non-comment line.
+line, and an optional `%dims N N K` header may appear as the first line
+that is neither blank nor a comment.
 """
 
 from __future__ import annotations
@@ -136,7 +136,7 @@ def load_coo(source, n_nodes: int | None = None, n_slots: int | None = None) -> 
     """Parse COO text into a SparseTensor.
 
     Args:
-        source: path, text stream, or byte stream.
+        source: path, text stream, or byte stream; lines end at "\\n" alone.
         n_nodes, n_slots: declared bounds. Optional if the file carries a
             `%dims N N K` header; if both are present they must agree.
 
@@ -148,98 +148,92 @@ def load_coo(source, n_nodes: int | None = None, n_slots: int | None = None) -> 
     """
     if hasattr(source, "read"):
         return _load_coo_stream(source, n_nodes, n_slots)
-    with open(source, "r", encoding="utf-8") as fh:
+    with open(source, "rb") as fh:  # bytes, so no newline translation
         return _load_coo_stream(fh, n_nodes, n_slots)
 
 
 def _load_coo_stream(stream, n_nodes, n_slots) -> SparseTensor:
-    # One pass in bulk: _columns reads the data rows to the numbers int() and
-    # float() give, and SparseTensor names the first bad entry, mapped here to
-    # its line. Only the first row _columns cannot read is looked at alone,
-    # once the rows before it pass, so an earlier bad line still wins.
+    # The records are the stripped lines that are neither blank nor a comment;
+    # a header may only be the first. numpy's C reader reads the data rows in
+    # one go, and if it refuses one, _walk reads them up to the first row bad
+    # on its own. SparseTensor names the first bad entry among the rows before
+    # that one, so an earlier bad line still wins; the record is mapped to its
+    # line only then.
     text = stream.read()
-    if isinstance(text, bytes):
-        text = text.decode("utf-8")
-    lines = text.split("\n")
-    start, n_nodes, n_slots = _take_header(lines, n_nodes, n_slots)
-    if n_nodes is None or n_slots is None:
-        raise DataError("tensor dimensions unknown: pass n_nodes/n_slots or add a %dims header")
-    rows = [line for line in map(str.strip, lines[start:]) if line and line[0] != "#"]
+    lines = (text.decode("utf-8") if isinstance(text, bytes) else text).split("\n")
+    records = [row for row in map(str.strip, lines) if row and row[0] != "#"]
+    first = 0  # records before the data rows
     try:
-        columns = _columns(rows)
-        if columns is not None:
-            return SparseTensor(n_nodes, n_slots, *columns)
-        lo, bad = 0, len(rows)
-        while lo < bad:  # rows[:lo] cast; the first row that does not is in [lo, bad]
-            mid = (lo + bad) // 2
-            lo, bad = (mid + 1, bad) if _columns(rows[lo:mid + 1]) is not None else (lo, mid)
-        SparseTensor(n_nodes, n_slots, *_columns(rows[:bad]))  # an earlier bad row wins
-        tokens = rows[bad].split()
-        if len(tokens) != 4:
-            raise _BadEntry(bad, "malformed {}: expected 'i j k value', "
-                                 f"got {len(tokens)} fields")
-        template = "malformed {}: indices must be integers"
-        try:
-            i, j, k = map(int, tokens[:3])
-            template = "malformed {}: value is not a number"
-            float(tokens[3])
-        except ValueError:
-            raise _BadEntry(bad, template)
-        # numpy casts every index int() reads that fits int64, and one past
-        # int64 is out of bounds (N, K <= MAX_DIM)
-        raise _BadEntry(bad, _fault(i, j, k, 0.0, n_nodes, n_slots))
-    except _BadEntry as exc:  # number the lines only now that one is bad
-        lineno = [n for n, row in enumerate(map(str.strip, lines[start:]), start + 1)
-                  if row and row[0] != "#"][exc.entry]
+        if records and records[0].split()[0] == "%dims":
+            n_nodes, n_slots = _dims(records[0], n_nodes, n_slots)
+            first = 1
+        if n_nodes is None or n_slots is None:
+            raise DataError("tensor dimensions unknown: pass n_nodes/n_slots or add a %dims header")
+        rows, columns, fault = records[first:], None, None
+        if rows:  # loadtxt warns on no rows
+            try:
+                columns = np.loadtxt(rows, dtype="i8,i8,i8,f8", comments=None, ndmin=1, unpack=True)
+            except ValueError:
+                pass
+        if columns is None:
+            columns, fault = _walk(rows, n_nodes, n_slots)
+        tensor = SparseTensor(n_nodes, n_slots, *columns)
+        if fault:
+            raise fault
+        return tensor
+    except _BadEntry as exc:
+        lineno = [n for n, row in enumerate(map(str.strip, lines), 1)
+                  if row and row[0] != "#"][first + exc.entry]
         raise DataError(exc.template.format(f"line {lineno}")) from None
 
 
-def _columns(rows: list[str]) -> list[np.ndarray] | None:
-    """i, j, k and value arrays, or None if a row lacks 4 fields or a token is not one
-    int()/float() reads. numpy's C reader, which reads a subset to the same numbers, goes first."""
-    try:  # no rows go to the str cast, as loadtxt warns about them
-        if rows:
-            return list(np.loadtxt(rows, dtype="i8,i8,i8,f8", comments=None, ndmin=1, unpack=True))
-    except ValueError:
-        pass
-    return _cast_tokens(rows)
-
-
-def _cast_tokens(rows: list[str]) -> list[np.ndarray] | None:
-    """_columns by str casts, which call int()/float() on each token."""
-    if set(map(len, map(str.split, rows))) - {4}:  # per row: 3 + 5 fields would shift columns
-        return None
-    tokens = " ".join(rows).split()
+def _dims(header: str, n_nodes, n_slots) -> tuple[int, int]:
+    """N and K of a `%dims N N K` header (record 0), checked against those declared."""
+    tokens = header.split()
+    if len(tokens) != 4:
+        raise _BadEntry(0, "malformed {}: expected '%dims N N K'")
     try:
-        return ([np.array(tokens[c::4], dtype=np.int64) for c in range(3)]
-                + [np.array(tokens[3::4], dtype=np.float64)])
-    except (ValueError, OverflowError):
-        return None
+        hn, hn2, hk = map(int, tokens[1:])
+    except ValueError:
+        raise _BadEntry(0, "malformed {}: %dims values must be integers") from None
+    if hn != hn2:
+        raise _BadEntry(0, "malformed {}: first two %dims values must match")
+    if n_nodes is not None and n_nodes != hn:
+        raise DataError(f"declared n_nodes {n_nodes} disagrees with %dims header {hn}")
+    if n_slots is not None and n_slots != hk:
+        raise DataError(f"declared n_slots {n_slots} disagrees with %dims header {hk}")
+    return hn, hk
 
 
-def _take_header(lines: list[str], n_nodes, n_slots):
-    """Read the optional `%dims N N K` header, which may only be the first
-    non-comment line. Returns (index of the first data line, N, K)."""
-    for lineno, line in enumerate(lines, start=1):
-        tokens = line.split()
-        if not tokens or tokens[0].startswith("#"):
-            continue
-        if tokens[0] != "%dims":
-            return lineno - 1, n_nodes, n_slots
+def _walk(rows: list[str], n_nodes: int, n_slots: int) -> tuple[list[np.ndarray], _BadEntry | None]:
+    """The i, j, k and value arrays of the rows before the first that is not
+    4 fields int()/float() read with its indices in bounds, and that row's
+    _BadEntry (None if there is no such row)."""
+    n, K = min(n_nodes, MAX_DIM), min(n_slots, MAX_DIM)  # every index kept fits int64
+    ii, jj, kk, vv = [], [], [], []
+    fault = None
+    for tokens in map(str.split, rows):
         if len(tokens) != 4:
-            raise DataError(f"malformed line {lineno}: expected '%dims N N K'")
+            fault = f"malformed {{}}: expected 'i j k value', got {len(tokens)} fields"
+            break
+        a, b, c, d = tokens
+        template = "malformed {}: indices must be integers"
         try:
-            hn, hn2, hk = int(tokens[1]), int(tokens[2]), int(tokens[3])
+            i, j, k = int(a), int(b), int(c)
+            template = "malformed {}: value is not a number"
+            v = float(d)
         except ValueError:
-            raise DataError(f"malformed line {lineno}: %dims values must be integers") from None
-        if hn != hn2:
-            raise DataError(f"malformed line {lineno}: first two %dims values must match")
-        if n_nodes is not None and n_nodes != hn:
-            raise DataError(f"declared n_nodes {n_nodes} disagrees with %dims header {hn}")
-        if n_slots is not None and n_slots != hk:
-            raise DataError(f"declared n_slots {n_slots} disagrees with %dims header {hk}")
-        return lineno, hn, hk
-    return len(lines), n_nodes, n_slots
+            fault = template
+            break
+        if not (0 <= i < n and 0 <= j < n and 0 <= k < K):
+            fault = _fault(i, j, k, v, n, K)
+            break
+        ii.append(i)
+        jj.append(j)
+        kk.append(k)
+        vv.append(v)
+    columns = [np.array(c, dtype=np.int64) for c in (ii, jj, kk)] + [np.array(vv, dtype=np.float64)]
+    return columns, fault and _BadEntry(len(vv), fault)
 
 
 def save_coo(tensor: SparseTensor, dest) -> None:
@@ -353,9 +347,9 @@ def generate_synthetic(n_nodes: int, n_slots: int, true_rank: int, density: floa
         identity temporal weights (window 0).
 
     Raises:
-        ValueError: n_nodes, n_slots or true_rank below 1, density outside
-            (0, 1] or rounding to 0 entries, temporal_correlation outside
-            [0, 1), or noise_scale negative or non-finite.
+        ValueError: n_nodes, n_slots or true_rank below 1, N*N*K above 2**63 - 1,
+            density outside (0, 1] or rounding to 0 entries, temporal_correlation
+            outside [0, 1), or noise_scale negative or non-finite.
     """
     if n_nodes < 1 or n_slots < 1 or true_rank < 1:
         raise ValueError("n_nodes, n_slots and true_rank must be >= 1")
@@ -366,6 +360,8 @@ def generate_synthetic(n_nodes: int, n_slots: int, true_rank: int, density: floa
     if not (0 <= noise_scale < np.inf):
         raise ValueError("noise_scale must be finite and nonnegative")
     total = n_nodes * n_nodes * n_slots
+    if total > MAX_DIM:  # the positions are drawn as int64
+        raise ValueError(f"n_nodes**2 * n_slots must be <= {MAX_DIM}, got N={n_nodes}, K={n_slots}")
     count = int(round(density * total))
     if count < 1:
         raise ValueError("density too small: no entries would be generated")

@@ -493,7 +493,7 @@ _TB = 1_000_000_000_000
 @pytest.mark.parametrize("dims, argv", [
     (f"{_TB} {_TB} 2", ["train"]),
     ("4 4 3", ["train", "--rank", _TB]),
-    (None, ["generate", "--nodes", _TB, "--slots", 1, "--density", 1e-24]),
+    (None, ["generate", "--nodes", 3_000_000_000, "--slots", 1, "--density", 1e-18]),
 ])
 def test_out_of_memory_is_data_error(tmp_path, dims, argv):
     # Each run asks numpy for terabytes. The child runs with its address space
@@ -516,6 +516,18 @@ def test_out_of_memory_is_data_error(tmp_path, dims, argv):
     assert len(proc.stderr.splitlines()) == 1
     assert proc.stderr.startswith("error: Unable to allocate")
     assert sorted(os.listdir(tmp_path)) == (["t.coo"] if dims else [])
+
+
+def test_memory_error_without_message_is_named(tmp_path, capsys, monkeypatch):
+    # a failed Python allocation (list or dict growth) raises a bare MemoryError
+    def no_memory(*args, **kwargs):
+        raise MemoryError()
+
+    monkeypatch.setattr(dyntf.cli, "load_coo", no_memory)
+    assert run("split", "--input", tmp_path / "x.coo", "--out-train", tmp_path / "a",
+               "--out-val", tmp_path / "b", "--out-test", tmp_path / "c") == 3
+    assert capsys.readouterr().err == "error: out of memory\n"
+    assert os.listdir(tmp_path) == []
 
 
 def test_swarm_larger_than_memory_is_data_error(tmp_path):

@@ -245,8 +245,8 @@ def test_reader_matches_line_reference(doc, newline, trailing):
     assert _outcome(lambda t, **k: load_coo(io.BytesIO(t.encode()), **k), text, kw) == expected
 
 
-def _no_str_cast(rows):
-    raise AssertionError(f"str cast reached for {rows!r}")
+def _no_walk(rows, n_nodes, n_slots):
+    raise AssertionError(f"walk reached for {rows!r}")
 
 
 @settings(max_examples=150, deadline=None)
@@ -255,8 +255,43 @@ def test_c_reader_alone_matches_line_reference(doc, newline, trailing):
     lines, kw = doc
     text = _join(lines, newline, trailing)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr("dyntf.tensor._cast_tokens", _no_str_cast)
+        mp.setattr("dyntf.tensor._walk", _no_walk)
         assert _outcome(_load, text, kw) == _outcome(_reference_load, text, kw)
+
+
+@pytest.mark.parametrize("data", [
+    b"%dims 2 2 1\n0 0\r0 1.0\n1 1 0 2.0\n",  # two records
+    b"%dims 2 2 1\r\n0 0 0 1.0\r\n0 0\r5 2.0\r\n",  # slot 5 out of bounds at line 3
+])
+def test_every_source_ends_lines_at_newline_alone(tmp_path, data):
+    # a lone "\r" separates fields inside a line, as it does for the reference
+    path = tmp_path / "t.coo"
+    path.write_bytes(data)
+    expected = _outcome(_reference_load, data.decode(), {})
+    for source in (path, io.BytesIO(data), io.StringIO(data.decode())):
+        assert _outcome(lambda _: load_coo(source), None, {}) == expected, source
+
+
+def test_walk_reads_the_numbers_of_the_c_reader():
+    # one "1_0" sends all 20k rows through the walk instead of numpy's C reader
+    rng = np.random.default_rng(14)
+    pos = rng.choice(300 * 300 * 20, size=20_000, replace=False)
+    rows = [f"{a} {b} {c} {v!r}" for a, b, c, v in zip(
+        (pos // 6000).tolist(), (pos // 20 % 300).tolist(), (pos % 20).tolist(),
+        rng.uniform(0, 3, 20_000).tolist())]
+    header = "%dims 300 300 20\n"
+    rows[12_345] = rows[12_345].rsplit(" ", 1)[0] + " {}"
+    fast = load_coo(io.StringIO(header + "\n".join(rows).format("10")))
+    walked = load_coo(io.StringIO(header + "\n".join(rows).format("1_0")))
+    assert walked.values[12_345] == 10.0
+    for a, b in zip((fast.i, fast.j, fast.k, fast.values),
+                    (walked.i, walked.j, walked.k, walked.values)):
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+    rows[12_345] = rows[12_345].format("1_0")
+    with pytest.raises(DataError, match="^malformed line 2: value is not a number$"):
+        _load(header + "\n".join(["0 0 0 xyz"] + rows))
+    with pytest.raises(DataError, match=r"^node index out of bounds at line 20002: \(300, 0\) with N=300$"):
+        _load(header + "\n".join(rows + ["300 0 0 1.0"]))
 
 
 def test_dims_only_file_loads_no_entries_silently():
@@ -480,6 +515,15 @@ class TestGenerateSynthetic:
     def test_entry_count_contract(self):
         data, _ = generate_synthetic(10, 4, 2, 0.13, 0.5, 0.0, seed=1)
         assert data.n_entries == round(0.13 * 10 * 10 * 4)
+
+    def test_positions_past_int64_rejected_before_any_draw(self, monkeypatch):
+        def no_draw(seed):
+            pytest.fail("a generator was made before the size check")
+
+        monkeypatch.setattr(np.random, "default_rng", no_draw)
+        with pytest.raises(ValueError, match=re.escape(
+                f"<= {MAX_DIM}, got N=10000000, K=1000000")):
+            generate_synthetic(10**7, 10**6, 2, 1e-19, 0.5, 0.0, seed=0)
 
     def test_deterministic(self):
         a, ta = generate_synthetic(10, 4, 2, 0.2, 0.5, 0.01, seed=3)
