@@ -35,6 +35,8 @@ import numpy as np
 
 from .atomic import write_json
 
+_BLOCK = 8192  # entries predict_entries gathers at a time
+
 
 @dataclass
 class TemporalWeights:
@@ -208,10 +210,17 @@ def compute_temporal(model: FactorModel) -> tuple[np.ndarray, np.ndarray]:
 
 def predict_entries(model: FactorModel, ii: np.ndarray, jj: np.ndarray,
                     kk: np.ndarray) -> np.ndarray:
-    """Predictions for parallel index arrays (ii, jj, kk); each call mixes W."""
+    """Predictions for parallel index arrays (ii, jj, kk); each call mixes W.
+    Blocks of _BLOCK entries fill one output array, so the gathers held at once
+    are one block's; each prediction reads its own entry alone: no byte changes."""
     z_hat, e_hat = compute_temporal(model)
-    return predict_rows(model.S[ii] * model.U[jj], z_hat[kk],
-                        model.a[ii], model.c[jj], e_hat[kk])
+    ii, jj, kk = np.asarray(ii), np.asarray(jj), np.asarray(kk)
+    out = np.empty(len(ii))
+    for lo in range(0, len(ii), _BLOCK):
+        i, j, k = (idx[lo:lo + _BLOCK] for idx in (ii, jj, kk))
+        out[lo:lo + _BLOCK] = predict_rows(model.S[i] * model.U[j], z_hat[k],
+                                           model.a[i], model.c[j], e_hat[k])
+    return out
 
 
 def predict_rows(su: np.ndarray, zk: np.ndarray, ai: np.ndarray, cj: np.ndarray,

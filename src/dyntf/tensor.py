@@ -160,7 +160,11 @@ def _load_coo_stream(stream, n_nodes, n_slots) -> SparseTensor:
     # that one, so an earlier bad line still wins; the record is mapped to its
     # line only then.
     text = stream.read()
-    lines = (text.decode("utf-8") if isinstance(text, bytes) else text).split("\n")
+    try:
+        lines = (text.decode("utf-8") if isinstance(text, bytes) else text).split("\n")
+    except UnicodeDecodeError as exc:
+        lineno = text.count(b"\n", 0, exc.start) + 1
+        raise DataError(f"invalid UTF-8 at line {lineno}: {exc.reason}") from None
     records = [row for row in map(str.strip, lines) if row and row[0] != "#"]
     first = 0  # records before the data rows
     try:

@@ -22,10 +22,10 @@ The chunk size is a constant, never derived from `threads` or the machine:
 the chunk grid fixes the summation order and so the bytes of the model.
 Its value, 8192 entries, came from a sweep of 4096/8192/16384 on a
 2000-node rank-20 tensor and a 2000-slot rank-10 one at 1 and 2 threads.
-Memory is one workspace per worker per epoch: a float and an index buffer
-of one chunk's rows, 1.3 MB each at rank 20. A chunk writes its products
-and keys there and into its own spent gathers, so its three row gathers
-are its only fresh chunk-sized arrays; no operand or order changes.
+Memory is one workspace per worker per epoch: five buffers of one chunk's
+rows (products, keys and the S, U and z_hat row gathers), 1.3 MB each at
+rank 20. A chunk gathers, multiplies and builds its keys in place there,
+so a worker allocates no chunk-sized array; no operand or order changes.
 
 `train` and the tuner's `adapt_train` are steps of one epoch loop,
 `_run_epochs`, which records the scores, stops and builds the report.
@@ -113,10 +113,11 @@ def _chunk_sums(model, z_hat, e_hat, data, lo, hi, workspace):
     jj = data.j[lo:hi]
     kk = data.k[lo:hi]
     x = data.values[lo:hi]
-    products, keys = (buf[:hi - lo] for buf in workspace)
-    si = model.S[ii]
-    uj = model.U[jj]
-    zk = z_hat[kk]
+    products, keys, si, uj, zk = (buf[:hi - lo] for buf in workspace)
+    # "clip" writes straight into `out` ("raise" buffers it); it clips nothing,
+    # as _mu_terms checks that the tensor's sizes, which bound its indices, fit
+    for src, idx, out in ((model.S, ii, si), (model.U, jj, uj), (z_hat, kk, zk)):
+        np.take(src, idx, axis=0, out=out, mode="clip")
     su = np.multiply(si, uj, out=products)
     pred = predict_rows(su, zk, model.a[ii], model.c[jj], e_hat[kk])
     uj *= zk  # the S rows
@@ -128,7 +129,8 @@ def _chunk_sums(model, z_hat, e_hat, data, lo, hi, workspace):
                                      (kk, su, k, ("g_num", "g_den", "h_num", "h_den"))):
         # row-wise scatter-add over one key array: out[g, d] += weight[n] *
         # rows[n, d] for every n with idx[n] == g
-        np.add(idx[:, None] * rank, np.arange(rank), out=keys)
+        np.multiply(idx[:, None], rank, out=keys)
+        keys += np.arange(rank)
         for weight, row_name, bias_name in zip((x, pred), names[:2], names[2:]):
             np.multiply(weight[:, None], rows, out=zk)
             sums[row_name] = np.bincount(keys.ravel(), weights=zk.ravel(),
@@ -153,7 +155,7 @@ def _epoch_sums(model, z_hat, e_hat, data, threads):
     shape = (min(_CHUNK, data.n_entries), model.rank)
     free = queue.SimpleQueue()  # one workspace per chunk that can be in flight
     for _ in range(min(threads, len(bounds))):
-        free.put((np.empty(shape), np.empty(shape, dtype=np.intp)))
+        free.put(tuple(np.empty(shape, dtype) for dtype in (float, np.intp, float, float, float)))
 
     def run(bound):
         workspace = free.get()
@@ -212,6 +214,9 @@ def _mu_terms(model: FactorModel, data, hp: HyperParams, threads: int) -> dict:
                     + (x_hat + lam_b * e_hat[k]) * e[l]
     """
     n, n_slots, window = model.n_nodes, model.n_slots, model.window
+    if data.n_nodes > n or data.n_slots > n_slots:
+        raise ValueError(f"a tensor of N={data.n_nodes}, K={data.n_slots} does not fit "
+                         f"a model of N={n}, K={n_slots}")
     z_hat, e_hat = compute_temporal(model)
     sums = _epoch_sums(model, z_hat, e_hat, data, threads)
     counts_i = np.bincount(data.i, minlength=n).astype(float)

@@ -154,6 +154,15 @@ class TestSplit:
         assert len(err) == 1 and err[0].startswith("error: n_nodes and n_slots")
         assert sorted(os.listdir(tmp_path)) == ["big.coo"]
 
+    def test_non_utf8_byte_names_its_line(self, tmp_path, capsys):
+        src = tmp_path / "bad.coo"
+        src.write_bytes(b"%dims 3 3 2\n0 1 0 1.5\n1 2 1 \xff2.0\n2 0 1 0.5\n")
+        assert run("split", "--input", src, "--out-train", tmp_path / "a",
+                   "--out-val", tmp_path / "b", "--out-test", tmp_path / "c") == 3
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["error: invalid UTF-8 at line 3: invalid start byte"]
+        assert sorted(os.listdir(tmp_path)) == ["bad.coo"]
+
 
 class TestTrain:
     def test_fixed_mode_report(self, workspace):

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ import dyntf
 from dyntf import (FactorModel, HyperParams, TemporalWeights, band_indices,
                    compute_temporal, init_positive, load_model, model_from_dict,
                    model_to_dict, objective, predict, predict_entries, save_model)
+from dyntf.model import predict_rows
 
 
 def _bias_only(n=3, k=2, a=1.0, c=2.0, e=3.0):
@@ -179,6 +181,31 @@ class TestPredict:
         batch = predict_entries(m, ii, jj, kk)
         singles = [predict(m, *t) for t in zip(ii, jj, kk)]
         assert np.array_equal(batch, np.array(singles))
+
+    B = dyntf.model._BLOCK
+
+    @pytest.mark.parametrize("n", [1, B - 1, B, B + 1, 3 * B + 457])
+    def test_blocks_equal_unblocked_oracle(self, n):
+        m = init_positive(50, 20, 7, 3, seed=n)
+        rng = np.random.default_rng(n)
+        ii, jj, kk = rng.integers(0, 50, n), rng.integers(0, 50, n), rng.integers(0, 20, n)
+        z_hat, e_hat = compute_temporal(m)
+        oracle = predict_rows(m.S[ii] * m.U[jj], z_hat[kk], m.a[ii], m.c[jj], e_hat[kk])
+        assert predict_entries(m, ii, jj, kk).tobytes() == oracle.tobytes()
+
+    def test_peak_allocation_is_one_block(self):
+        # 100k entries at rank 20: gathering them all at once traced 35.2 MB
+        m = init_positive(2000, 50, 20, 0, seed=1)
+        rng = np.random.default_rng(3)
+        idx = (rng.integers(0, 2000, 100_000), rng.integers(0, 2000, 100_000),
+               rng.integers(0, 50, 100_000))
+        tracemalloc.start()
+        try:
+            predict_entries(m, *idx)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8e6
 
 
 class TestObjective:

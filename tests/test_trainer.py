@@ -209,8 +209,9 @@ class TestEpochSums:
     @pytest.mark.parametrize("threads, buffers", [(1, 10), (2, 18)])
     def test_peak_allocation_is_a_few_chunk_buffers(self, threads, buffers):
         # Wide's shape at rank 20, over 5 chunks. Allocating every temporary
-        # afresh peaked at 11.3 chunk buffers at 1 thread and 20.5 at 2;
-        # one workspace per worker holds it to about 8.3 and 14.5.
+        # afresh peaked at 11.3 chunk buffers at 1 thread and 20.5 at 2; one
+        # workspace per worker holds it to about 8.3 and 14.4, its 5 buffers
+        # now holding the row gathers that were fresh arrays in each chunk.
         data = _random_tensor(2000, 50, 5 * _CHUNK + 123, seed=5)
         model = init_positive(2000, 50, 20, 0, seed=1)
         z_hat, e_hat = compute_temporal(model)
@@ -221,6 +222,23 @@ class TestEpochSums:
         finally:
             tracemalloc.stop()
         assert peak < buffers * _CHUNK * 20 * 8
+
+    def test_chunk_allocates_about_one_chunk_buffer(self):
+        # With the workspace prepared, a chunk's only sizeable allocations are
+        # its sums (about 1 buffer at N=2000); gathering into fresh arrays
+        # peaked at 4.23 chunk buffers.
+        data = _random_tensor(2000, 50, _CHUNK, seed=5)
+        model = init_positive(2000, 50, 20, 0, seed=1)
+        z_hat, e_hat = compute_temporal(model)
+        workspace = tuple(np.empty((_CHUNK, 20), dtype)
+                          for dtype in (float, np.intp, float, float, float))
+        tracemalloc.start()
+        try:
+            dyntf.trainer._chunk_sums(model, z_hat, e_hat, data, 0, _CHUNK, workspace)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * _CHUNK * 20 * 8
 
     @pytest.mark.parametrize("chunk, n_entries", [
         (1, 301), (7, 301), (dyntf.trainer._CHUNK, 2 * dyntf.trainer._CHUNK + 123),
@@ -458,6 +476,19 @@ class TestAnalyticGradient:
         for coord in [("w", 1, 1), ("w", 0, 1), ("w", 3, 0), ("x", 0)]:
             with pytest.raises(ValueError):
                 analytic_gradient(m, data, hp, coord)
+
+    @pytest.mark.parametrize("n_nodes, n_slots", [(4, 2), (3, 3)])
+    def test_tensor_larger_than_model_rejected_before_any_gather(self, n_nodes, n_slots):
+        # the chunk gathers clip their indices, so an entry past the model's
+        # rows must be refused before it could train on the wrong row
+        m = init_positive(3, 2, 2, 1, seed=0)
+        t = SparseTensor(n_nodes, n_slots, [0, n_nodes - 1], [1, 0], [0, n_slots - 1],
+                         [1.0, 2.0])
+        size = f"a tensor of N={n_nodes}, K={n_slots} does not fit a model of N=3, K=2"
+        with pytest.raises(ValueError, match=size):
+            nmu_epoch(m.copy(), t, HyperParams(0.0, 0.0))
+        with pytest.raises(ValueError, match=size):
+            analytic_gradient(m, t, HyperParams(0.0, 0.0), ("s", 0, 0))
 
     def test_out_of_range_coordinate(self):
         m, t = _single_entry_model()
