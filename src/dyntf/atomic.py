@@ -6,6 +6,10 @@ import json
 import os
 from contextlib import contextmanager
 
+import numpy as np
+
+_BLOCK = 4096  # array values json encodes per call
+
 
 @contextmanager
 def open_atomic(path):
@@ -32,25 +36,22 @@ def open_atomic(path):
 
 
 def write_json(path, doc: dict) -> None:
-    """Write `doc` atomically as JSON indented by 2, plus a newline. A NaN
-    or infinite float raises ValueError, since JSON has no such number,
+    """Write `doc`, a dict with str keys, atomically as JSON indented by 2,
+    plus a newline. A value may be a 1-D numpy array, written as the list of
+    its values _BLOCK values at a time; the file is written field by field,
+    so neither its text nor a list of all of an array's values is held. A
+    NaN or infinite float raises ValueError, since JSON has no such number,
     and leaves `path` as it was."""
     with open_atomic(path) as fh:
-        fh.write(_indented(doc, "") + "\n")
-
-
-def _indented(value, pad: str) -> str:
-    """`value` as json.dumps(value, indent=2) lays it out at indent `pad`, but
-    each list of plain numbers goes through json's C encoder in one call."""
-    inner, sep = pad + "  ", ",\n" + pad + "  "
-    if isinstance(value, list) and value:
-        if set(map(type, value)) <= {int, float}:  # no number holds ", "
-            body = json.dumps(value, allow_nan=False)[1:-1].replace(", ", sep)
-        else:
-            body = sep.join([_indented(v, inner) for v in value])
-        return f"[\n{inner}{body}\n{pad}]"
-    if isinstance(value, dict) and value and set(map(type, value)) == {str}:
-        body = sep.join([f"{json.dumps(k)}: {_indented(v, inner)}" for k, v in value.items()])
-        return f"{{\n{inner}{body}\n{pad}}}"
-    # JSON strings escape every newline, so each one here is layout
-    return json.dumps(value, indent=2, allow_nan=False).replace("\n", "\n" + pad)
+        for n, (key, value) in enumerate(doc.items()):
+            fh.write(("," if n else "{") + f"\n  {json.dumps(key)}: ")
+            if isinstance(value, np.ndarray) and value.size:
+                for lo in range(0, value.size, _BLOCK):  # json's C encoder, block by block
+                    fh.write(",\n    " if lo else "[\n    ")
+                    text = json.dumps(value[lo:lo + _BLOCK].tolist(), allow_nan=False)
+                    fh.write(text[1:-1].replace(", ", ",\n    "))  # no number's text holds ", "
+                fh.write("\n  ]")
+            else:  # JSON strings escape every newline, so each one here is layout
+                value = value.tolist() if isinstance(value, np.ndarray) else value
+                fh.write(json.dumps(value, indent=2, allow_nan=False).replace("\n", "\n  "))
+        fh.write("\n}\n" if doc else "{}\n")

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import json
 import operator
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -175,6 +176,8 @@ def init_positive(n_nodes: int, n_slots: int, rank: int, window: int,
         window: temporal dependence depth (0 .. K-1).
         seed: int or numpy SeedSequence.
         scale: upper end of the draw range (> 0).
+
+    A model larger than physical memory raises MemoryError before any draw.
     """
     if rank < 1:
         raise ValueError("rank must be >= 1")
@@ -182,6 +185,7 @@ def init_positive(n_nodes: int, n_slots: int, rank: int, window: int,
         raise ValueError("scale must be positive and finite")
     if not (0 <= window <= max(n_slots - 1, 0)):
         raise ValueError(f"window must lie in [0, {max(n_slots - 1, 0)}]")
+    check_memory(n_nodes, n_slots, rank, window)
     rng = np.random.default_rng(seed)
 
     def positive(*shape):
@@ -199,6 +203,19 @@ def init_positive(n_nodes: int, n_slots: int, rank: int, window: int,
     band[ks, ks - ls - 1] = positive(ks.size)
     return FactorModel(S=s, U=u, Z=z, a=a, c=c, e=e,
                        weights=TemporalWeights(band=band))
+
+
+def check_memory(n_nodes: int, n_slots: int, rank: int, window: int,
+                 replicas: int = 1) -> None:
+    """Raise MemoryError, allocating nothing, when `replicas` models of this
+    shape hold more float64 bytes (S, U, Z, the W band, a, c and e) than
+    this machine's physical memory."""
+    need = replicas * 8 * (2 * n_nodes * rank + n_slots * rank + n_slots * window
+                           + 2 * n_nodes + n_slots)
+    if need > os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE"):
+        what = (f"a swarm of {replicas} model replicas" if replicas > 1 else
+                f"a model of N={n_nodes}, K={n_slots}, rank {rank}, window {window}")
+        raise MemoryError(f"{what} needs {need} bytes, more than this machine's physical memory")
 
 
 def compute_temporal(model: FactorModel) -> tuple[np.ndarray, np.ndarray]:
@@ -266,19 +283,25 @@ def objective(model: FactorModel, entries, hp: HyperParams) -> float:
 def model_to_dict(model: FactorModel, hp: HyperParams) -> dict:
     """JSON-ready document. Matrices are flattened row-major; W is stored
     as its admissible strictly-lower band in row-major (k, then l) order."""
+    return {name: value.tolist() if isinstance(value, np.ndarray) else value
+            for name, value in _fields(model, hp).items()}
+
+
+def _fields(model: FactorModel, hp: HyperParams) -> dict:
+    # the model document with each list of floats still a 1-D array
     ks, ls = band_indices(model.n_slots, model.window)
     return {
         "n_nodes": model.n_nodes,
         "n_slots": model.n_slots,
         "rank": model.rank,
         "window": model.window,
-        "S": model.S.ravel().tolist(),
-        "U": model.U.ravel().tolist(),
-        "Z": model.Z.ravel().tolist(),
-        "a": model.a.tolist(),
-        "c": model.c.tolist(),
-        "e": model.e.tolist(),
-        "W_band": model.weights.band[ks, ks - ls - 1].tolist(),
+        "S": model.S.ravel(),
+        "U": model.U.ravel(),
+        "Z": model.Z.ravel(),
+        "a": model.a,
+        "c": model.c,
+        "e": model.e,
+        "W_band": model.weights.band[ks, ks - ls - 1],
         "lambda": float(hp.lam),
         "lambda_b": float(hp.lam_b),
     }
@@ -320,12 +343,9 @@ def model_from_dict(doc: dict) -> tuple[FactorModel, HyperParams]:
 
 
 def save_model(model: FactorModel, hp: HyperParams, path, extra: dict | None = None) -> None:
-    """Write the model as JSON, atomically. Floats round-trip exactly (repr
-    encoding)."""
-    doc = model_to_dict(model, hp)
-    if extra:
-        doc.update(extra)
-    write_json(path, doc)
+    """Write model_to_dict's document and `extra`'s fields as JSON, atomically
+    and array by array (write_json). Floats round-trip exactly (repr)."""
+    write_json(path, {**_fields(model, hp), **(extra or {})})
 
 
 def load_model(path) -> tuple[FactorModel, HyperParams]:

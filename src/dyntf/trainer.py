@@ -22,10 +22,12 @@ The chunk size is a constant, never derived from `threads` or the machine:
 the chunk grid fixes the summation order and so the bytes of the model.
 Its value, 8192 entries, came from a sweep of 4096/8192/16384 on a
 2000-node rank-20 tensor and a 2000-slot rank-10 one at 1 and 2 threads.
-Memory is one workspace per worker per epoch: five buffers of one chunk's
-rows (products, keys and the S, U and z_hat row gathers), 1.3 MB each at
-rank 20. A chunk gathers, multiplies and builds its keys in place there,
-so a worker allocates no chunk-sized array; no operand or order changes.
+Memory is one workspace per worker per epoch: four buffers of one chunk's
+rows (products and the S, U and z_hat row gathers), 1.3 MB each at rank
+20. A chunk gathers and multiplies in place there, and sums column by
+column, so a worker allocates no chunk-sized array and builds no keys;
+at most threads + 1 chunks' sums wait to be merged. The trained model is
+then written field by field, its arrays in blocks (`save_model`).
 
 `train` and the tuner's `adapt_train` are steps of one epoch loop,
 `_run_epochs`, which records the scores, stops and builds the report.
@@ -36,6 +38,7 @@ whose (K, 0) band makes that update a no-op.
 from __future__ import annotations
 
 import queue
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -113,7 +116,8 @@ def _chunk_sums(model, z_hat, e_hat, data, lo, hi, workspace):
     jj = data.j[lo:hi]
     kk = data.k[lo:hi]
     x = data.values[lo:hi]
-    products, keys, si, uj, zk = (buf[:hi - lo] for buf in workspace)
+    m = hi - lo
+    products, si, uj, zk = (buf[:m] for buf in workspace)
     # "clip" writes straight into `out` ("raise" buffers it); it clips nothing,
     # as _mu_terms checks that the tensor's sizes, which bound its indices, fit
     for src, idx, out in ((model.S, ii, si), (model.U, jj, uj), (z_hat, kk, zk)):
@@ -121,30 +125,38 @@ def _chunk_sums(model, z_hat, e_hat, data, lo, hi, workspace):
     su = np.multiply(si, uj, out=products)
     pred = predict_rows(su, zk, model.a[ii], model.c[jj], e_hat[kk])
     uj *= zk  # the S rows
-    si *= zk  # the U rows; zk is spent and holds the weighted rows below
-    n, k, rank = model.n_nodes, model.n_slots, model.rank
+    si *= zk  # the U rows
+    rank = model.rank
+    # zk is spent: its first rank * m floats hold the weighted rows, column by column
+    columns = workspace[3].reshape(-1)[:rank * m].reshape(rank, m)
     sums = {}
-    for idx, rows, groups, names in ((ii, uj, n, ("num_s", "den_s", "num_a", "den_a")),
-                                     (jj, si, n, ("num_u", "den_u", "num_c", "den_c")),
-                                     (kk, su, k, ("g_num", "g_den", "h_num", "h_den"))):
-        # row-wise scatter-add over one key array: out[g, d] += weight[n] *
-        # rows[n, d] for every n with idx[n] == g
-        np.multiply(idx[:, None], rank, out=keys)
-        keys += np.arange(rank)
-        for weight, row_name, bias_name in zip((x, pred), names[:2], names[2:]):
-            np.multiply(weight[:, None], rows, out=zk)
-            sums[row_name] = np.bincount(keys.ravel(), weights=zk.ravel(),
-                                         minlength=groups * rank).reshape(groups, rank)
-            sums[bias_name] = np.bincount(idx, weights=weight, minlength=groups)
+    for idx, rows, groups, group in ((ii, uj, model.n_nodes, "s"), (jj, si, model.n_nodes, "u"),
+                                     (kk, su, model.n_slots, "z")):
+        for weight, kind in ((x, "num_"), (pred, "den_")):
+            # out[g, d] = sum of weight[n] * rows[n, d] over the n with idx[n] == g,
+            # in entry order; the last column sums weight[n] alone (the bias)
+            out = sums[kind + group] = np.empty((groups, rank + 1))
+            np.multiply(weight, rows.T, out=columns)
+            for d in range(rank):
+                out[:, d] = np.bincount(idx, weights=columns[d], minlength=groups)
+            out[:, rank] = np.bincount(idx, weights=weight, minlength=groups)
     return sums
 
 
 def _ordered_map(fn, items, threads):
     """Yield fn(item) for every item, in item order; the calls run on a pool
-    of `threads` workers only when threads > 1 and there are several items."""
+    of `threads` workers only when threads > 1 and there are several items.
+    At most threads + 1 results are held: one item more than there are
+    workers is queued, so a worker that is done never waits for the caller."""
     if threads > 1 and len(items) > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            yield from pool.map(fn, items)
+            pending = deque()
+            for item in items:
+                pending.append(pool.submit(fn, item))
+                if len(pending) > threads:
+                    yield pending.popleft().result()
+            while pending:
+                yield pending.popleft().result()
     else:
         yield from map(fn, items)
 
@@ -155,7 +167,7 @@ def _epoch_sums(model, z_hat, e_hat, data, threads):
     shape = (min(_CHUNK, data.n_entries), model.rank)
     free = queue.SimpleQueue()  # one workspace per chunk that can be in flight
     for _ in range(min(threads, len(bounds))):
-        free.put(tuple(np.empty(shape, dtype) for dtype in (float, np.intp, float, float, float)))
+        free.put(tuple(np.empty(shape) for _ in range(4)))
 
     def run(bound):
         workspace = free.get()
@@ -175,6 +187,7 @@ def _merge_in_order(parts):
     for part in parts:
         for key, arr in total.items():
             arr += part[key]
+        del part  # not held while the next chunk is awaited
     return total
 
 
@@ -223,13 +236,12 @@ def _mu_terms(model: FactorModel, data, hp: HyperParams, threads: int) -> dict:
     counts_j = np.bincount(data.j, minlength=n).astype(float)
     counts_k = np.bincount(data.k, minlength=n_slots).astype(float)
     lam, lam_b = hp.lam, hp.lam_b
-
-    # per-slot sums of the [Z | e] numerators (index 0) and denominators
+    # each group's sums are (groups, D + 1): its row sums, then its bias sum.
+    # Per-slot sums of the [Z | e] numerators (index 0) and denominators
     # (index 1), K x 2 x (D + 1); W.T carries them back to the slots they mix
-    slot = np.stack((np.column_stack((sums["g_num"], sums["h_num"])),
-                     np.column_stack((sums["g_den"] + lam * z_hat * counts_k[:, None],
-                                      sums["h_den"] + lam_b * e_hat * counts_k))),
-                    axis=1)
+    slot = np.stack((sums["num_z"], sums["den_z"]), axis=1)
+    slot[:, 1, :-1] += lam * z_hat * counts_k[:, None]
+    slot[:, 1, -1] += lam_b * e_hat * counts_k
     back = model.weights.mix(slot, transpose=True)
     # lag m pairs slot k's sums with [Z | e][k - m]; rows k < m stay 0
     ze = np.column_stack((model.Z, model.e))
@@ -239,12 +251,13 @@ def _mu_terms(model: FactorModel, data, hp: HyperParams, threads: int) -> dict:
 
     has_i, has_j = counts_i > 0, counts_j > 0
     reach = _window_reach(counts_k, window) > 0
+    num_s, den_s, num_u, den_u = (sums[name] for name in ("num_s", "den_s", "num_u", "den_u"))
     return {
-        "S": (sums["num_s"], sums["den_s"] + lam * model.S * counts_i[:, None], has_i[:, None]),
-        "U": (sums["num_u"], sums["den_u"] + lam * model.U * counts_j[:, None], has_j[:, None]),
+        "S": (num_s[:, :-1], den_s[:, :-1] + lam * model.S * counts_i[:, None], has_i[:, None]),
+        "U": (num_u[:, :-1], den_u[:, :-1] + lam * model.U * counts_j[:, None], has_j[:, None]),
         "Z": (back[:, 0, :-1], back[:, 1, :-1], reach[:, None]),
-        "a": (sums["num_a"], sums["den_a"] + lam_b * model.a * counts_i, has_i),
-        "c": (sums["num_c"], sums["den_c"] + lam_b * model.c * counts_j, has_j),
+        "a": (num_s[:, -1], den_s[:, -1] + lam_b * model.a * counts_i, has_i),
+        "c": (num_u[:, -1], den_u[:, -1] + lam_b * model.c * counts_j, has_j),
         "e": (back[:, 0, -1], back[:, 1, -1], reach),
         "W": (band[:, 0], band[:, 1], (counts_k > 0)[:, None]),
     }

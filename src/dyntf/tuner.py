@@ -35,12 +35,11 @@ which records the iteration-best scores, stops and builds the report.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import FactorModel, HyperParams
+from .model import FactorModel, HyperParams, check_memory
 from .trainer import (TrainConfig, TrainReport, _ordered_map, _run_epochs, nmu_epoch,
                       validation_metrics)
 
@@ -101,14 +100,10 @@ def init_swarm(config: DEAConfig, template: FactorModel) -> Swarm:
     Each vector component is min + theta * (max - min) with a fresh
     theta ~ uniform[0, 1). tau starts as the first individual's vector
     with an infinite recorded H, pending the first evaluation. Raises
-    ValueError, before any copy, when P replicas exceed physical memory.
+    MemoryError, before any copy, when P replicas exceed physical memory.
     """
-    replica = (template.S, template.U, template.Z, template.a, template.c, template.e,
-               template.weights.band)
-    need = config.population * sum(arr.nbytes for arr in replica)
-    if need > os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE"):
-        raise ValueError(f"a swarm of {config.population} model replicas needs {need} bytes, "
-                         "more than this machine's physical memory")
+    check_memory(template.n_nodes, template.n_slots, template.rank, template.window,
+                 replicas=config.population)
     seed = config.seed
     ss = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
     lo1, hi1, lo2, hi2 = config.bounds

@@ -37,18 +37,23 @@ def dense_epoch(model, data, hp, denom_floor=1e-12):
     window = model.window
     z_hat, e_hat = dense_temporal(model)
     sums = dyntf.trainer._epoch_sums(model, z_hat, e_hat, data, 1)
+    # each group's sums are its row sums with the bias sum as the last column
+    (num_s, num_a), (num_u, num_c), (g_num, h_num) = (
+        (sums[name][:, :-1], sums[name][:, -1]) for name in ("num_s", "num_u", "num_z"))
+    (den_s, den_a), (den_u, den_c), (g_den, h_den) = (
+        (sums[name][:, :-1], sums[name][:, -1]) for name in ("den_s", "den_u", "den_z"))
     counts_i = np.bincount(data.i, minlength=N).astype(float)
     counts_j = np.bincount(data.j, minlength=N).astype(float)
     counts_k = np.bincount(data.k, minlength=K).astype(float)
     lam, lam_b = hp.lam, hp.lam_b
-    den_s = sums["den_s"] + lam * model.S * counts_i[:, None]
-    den_u = sums["den_u"] + lam * model.U * counts_j[:, None]
-    den_a = sums["den_a"] + lam_b * model.a * counts_i
-    den_c = sums["den_c"] + lam_b * model.c * counts_j
-    g_den = sums["g_den"] + lam * z_hat * counts_k[:, None]
-    h_den = sums["h_den"] + lam_b * e_hat * counts_k
-    num_z, den_z = w.T @ sums["g_num"], w.T @ g_den
-    num_e, den_e = w.T @ sums["h_num"], w.T @ h_den
+    den_s = den_s + lam * model.S * counts_i[:, None]
+    den_u = den_u + lam * model.U * counts_j[:, None]
+    den_a = den_a + lam_b * model.a * counts_i
+    den_c = den_c + lam_b * model.c * counts_j
+    g_den = g_den + lam * z_hat * counts_k[:, None]
+    h_den = h_den + lam_b * e_hat * counts_k
+    num_z, den_z = w.T @ g_num, w.T @ g_den
+    num_e, den_e = w.T @ h_num, w.T @ h_den
     has_i, has_j = counts_i > 0, counts_j > 0
     reach = dyntf.trainer._window_reach(counts_k, window) > 0
 
@@ -57,16 +62,16 @@ def dense_epoch(model, data, hp, denom_floor=1e-12):
 
     new_w = w.copy()
     if window > 0:
-        num_w = sums["g_num"] @ model.Z.T + np.outer(sums["h_num"], model.e)
+        num_w = g_num @ model.Z.T + np.outer(h_num, model.e)
         den_w = g_den @ model.Z.T + np.outer(h_den, model.e)
         rows, cols = np.indices(w.shape)
         band = (cols < rows) & (rows - cols <= window) & (counts_k[:, None] > 0)
         new_w[band] = w[band] * num_w[band] / np.maximum(den_w[band], denom_floor)
-    return {"S": step(has_i[:, None], model.S, sums["num_s"], den_s),
-            "U": step(has_j[:, None], model.U, sums["num_u"], den_u),
+    return {"S": step(has_i[:, None], model.S, num_s, den_s),
+            "U": step(has_j[:, None], model.U, num_u, den_u),
             "Z": step(reach[:, None], model.Z, num_z, den_z),
-            "a": step(has_i, model.a, sums["num_a"], den_a),
-            "c": step(has_j, model.c, sums["num_c"], den_c),
+            "a": step(has_i, model.a, num_a, den_a),
+            "c": step(has_j, model.c, num_c, den_c),
             "e": step(reach, model.e, num_e, den_e),
             "W": new_w}
 

@@ -505,9 +505,11 @@ _TB = 1_000_000_000_000
     (None, ["generate", "--nodes", 3_000_000_000, "--slots", 1, "--density", 1e-18]),
 ])
 def test_out_of_memory_is_data_error(tmp_path, dims, argv):
-    # Each run asks numpy for terabytes. The child runs with its address space
-    # capped at 2 GiB, so the request fails at once and a regression fails
-    # this test instead of exhausting the machine.
+    # Each run needs terabytes. `train` refuses its model before any draw
+    # (init_positive checks its size); `generate` asks numpy for the memory.
+    # The child runs with its address space capped at 2 GiB, so a request
+    # fails at once and a regression fails this test instead of exhausting
+    # the machine.
     if dims:
         (tmp_path / "t.coo").write_text(f"%dims {dims}\n0 0 0 1.0\n1 1 1 2.0\n")
         argv += ["--train", "t.coo", "--val", "t.coo", "--lambda", 0.01, "--lambda-b", 0.01,
@@ -523,8 +525,26 @@ def test_out_of_memory_is_data_error(tmp_path, dims, argv):
         preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)))
     assert proc.returncode == 3, proc.stderr
     assert len(proc.stderr.splitlines()) == 1
-    assert proc.stderr.startswith("error: Unable to allocate")
+    refused = "error: a model of " if dims else "error: Unable to allocate"
+    assert proc.stderr.startswith(refused)
     assert sorted(os.listdir(tmp_path)) == (["t.coo"] if dims else [])
+
+
+def test_model_larger_than_memory_exits_3_before_any_draw(tmp_path, capsys, monkeypatch):
+    # 4 nodes, 3 slots, rank 2, window 2: 8 * (16 + 6 + 6 + 8 + 3) = 312 bytes
+    (tmp_path / "t.coo").write_text("%dims 4 4 3\n0 0 0 1.0\n1 1 1 2.0\n")
+    monkeypatch.setattr(os, "sysconf", {"SC_PHYS_PAGES": 311, "SC_PAGE_SIZE": 1}.__getitem__)
+
+    def no_draw(seed):
+        raise AssertionError("drew a model that does not fit")
+
+    monkeypatch.setattr(np.random, "default_rng", no_draw)
+    assert run("train", "--train", tmp_path / "t.coo", "--val", tmp_path / "t.coo",
+               "--rank", 2, "--lambda", 0.01, "--lambda-b", 0.01,
+               "--out", tmp_path / "m.json", "--report", tmp_path / "r.json") == 3
+    assert capsys.readouterr().err == ("error: a model of N=4, K=3, rank 2, window 2 needs 312 "
+                                       "bytes, more than this machine's physical memory\n")
+    assert os.listdir(tmp_path) == ["t.coo"]
 
 
 def test_memory_error_without_message_is_named(tmp_path, capsys, monkeypatch):

@@ -1,4 +1,5 @@
 import json
+import os
 import tracemalloc
 
 import numpy as np
@@ -8,7 +9,7 @@ import dyntf
 from dyntf import (FactorModel, HyperParams, TemporalWeights, band_indices,
                    compute_temporal, init_positive, load_model, model_from_dict,
                    model_to_dict, objective, predict, predict_entries, save_model)
-from dyntf.model import predict_rows
+from dyntf.model import check_memory, predict_rows
 
 
 def _bias_only(n=3, k=2, a=1.0, c=2.0, e=3.0):
@@ -109,6 +110,20 @@ class TestInitPositive:
         m = init_positive(6, 4, 3, 2, seed=0)
         assert (m.n_nodes, m.n_slots, m.rank, m.window) == (6, 4, 3, 2)
         assert m.S.shape == (6, 3) and m.Z.shape == (4, 3)
+
+    @pytest.mark.parametrize("replicas", [1, 3])
+    def test_size_checked_against_physical_memory(self, monkeypatch, replicas):
+        # 5 nodes, 4 slots, rank 3, window 2: 8 * (30 + 12 + 8 + 10 + 4) = 512 bytes a model
+        need = 512 * replicas
+        pages = {"SC_PHYS_PAGES": need // 8, "SC_PAGE_SIZE": 8}
+        monkeypatch.setattr(os, "sysconf", pages.__getitem__)
+        check_memory(5, 4, 3, 2, replicas)  # exactly the memory there is
+        pages["SC_PHYS_PAGES"] -= 1
+        with pytest.raises(MemoryError, match=f" needs {need} bytes, more than this machine's"):
+            check_memory(5, 4, 3, 2, replicas)
+        if replicas == 1:
+            with pytest.raises(MemoryError, match="^a model of N=5, K=4, rank 3, window 2 "):
+                init_positive(5, 4, 3, 2, seed=0)
 
     def test_bad_arguments(self):
         with pytest.raises(ValueError):
@@ -283,6 +298,29 @@ class TestSerialization:
         doc["window"] = 10**12  # a (K, window) band this wide cannot be allocated
         with pytest.raises(ValueError, match="window"):
             model_from_dict(doc)
+
+    @pytest.mark.parametrize("n_nodes, window", [(1, 0), (512, 3), (585, 4), (1171, 9)])
+    def test_file_is_json_dumps_of_model_to_dict(self, tmp_path, n_nodes, window):
+        # S and U hold 7, 4096, 4095 and 8197 values: one block, exactly one,
+        # one less, and two plus one
+        m = init_positive(n_nodes, 10, 8 if n_nodes == 512 else 7, window, seed=n_nodes)
+        hp, extra = HyperParams(0.25, 1e-300), {"note": {"x": [1, 2.5]}, "tag": "t"}
+        path = tmp_path / "m.json"
+        save_model(m, hp, path, extra=extra)
+        doc = {**model_to_dict(m, hp), **extra}
+        assert path.read_bytes() == (json.dumps(doc, indent=2) + "\n").encode()
+
+    def test_save_model_peak_allocation_is_a_few_blocks(self, tmp_path):
+        # the wide benchmark's model: building its whole text and a list of
+        # every float traced 7.7 MB
+        m = init_positive(2000, 50, 20, 49, seed=1)
+        tracemalloc.start()
+        try:
+            save_model(m, HyperParams(0.01, 0.01), tmp_path / "m.json")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1e6
 
     def test_extra_block_preserved_on_disk(self, tmp_path):
         m = init_positive(3, 2, 1, 0, seed=1)

@@ -133,32 +133,28 @@ def _random_tensor(n_nodes, n_slots, n_entries, seed):
 
 
 def _reference_sums(model, data):
-    """The accumulators of one epoch, unchunked, with np.add.at."""
+    """The accumulators of one epoch, unchunked, with np.add.at: per group,
+    the weighted row sums with the weight sums as one more column."""
     ii, jj, kk, x = data.i, data.j, data.k, data.values
     pred = predict_entries(model, ii, jj, kk)
     si, uj, zk = model.S[ii], model.U[jj], compute_temporal(model)[0][kk]
     n, n_slots = model.n_nodes, model.n_slots
     out = {}
-    for idx, rows, groups, num, den in ((ii, uj * zk, n, "num_s", "den_s"),
-                                        (jj, si * zk, n, "num_u", "den_u"),
-                                        (kk, si * uj, n_slots, "g_num", "g_den")):
-        for weight, name in ((x, num), (pred, den)):
-            out[name] = np.zeros((groups, model.rank))
-            np.add.at(out[name], idx, weight[:, None] * rows)
-    for idx, groups, num, den in ((ii, n, "num_a", "den_a"), (jj, n, "num_c", "den_c"),
-                                  (kk, n_slots, "h_num", "h_den")):
-        for weight, name in ((x, num), (pred, den)):
-            out[name] = np.zeros(groups)
-            np.add.at(out[name], idx, weight)
+    for idx, rows, groups, group in ((ii, uj * zk, n, "s"), (jj, si * zk, n, "u"),
+                                     (kk, si * uj, n_slots, "z")):
+        for weight, kind in ((x, "num_"), (pred, "den_")):
+            out[kind + group] = np.zeros((groups, model.rank + 1))
+            np.add.at(out[kind + group], idx, np.column_stack((weight[:, None] * rows, weight)))
     return out
 
 
 @np.errstate(over="ignore", invalid="ignore")
 def _allocating_chunk_sums(model, z_hat, e_hat, data, lo, hi):
     """The chunk accumulator as it was before it wrote into a workspace:
-    every temporary is a fresh array. The in-place version runs the same
-    operations on the same operands in the same order, so its sums must
-    be bit-equal to these."""
+    every temporary is a fresh array, and each row sum is one flat bincount
+    over (index, column) keys. The in-place version sums the same products
+    into each cell in the same entry order, so its sums must be bit-equal
+    to these."""
     ii = data.i[lo:hi]
     jj = data.j[lo:hi]
     kk = data.k[lo:hi]
@@ -170,14 +166,14 @@ def _allocating_chunk_sums(model, z_hat, e_hat, data, lo, hi):
     pred = predict_rows(su, zk, model.a[ii], model.c[jj], e_hat[kk])
     n, k, rank = model.n_nodes, model.n_slots, model.rank
     sums = {}
-    for idx, rows, groups, names in ((ii, uj * zk, n, ("num_s", "den_s", "num_a", "den_a")),
-                                     (jj, si * zk, n, ("num_u", "den_u", "num_c", "den_c")),
-                                     (kk, su, k, ("g_num", "g_den", "h_num", "h_den"))):
+    for idx, rows, groups, group in ((ii, uj * zk, n, "s"), (jj, si * zk, n, "u"),
+                                     (kk, su, k, "z")):
         keys = (idx[:, None] * rank + np.arange(rank)).ravel()
-        for weight, row_name, bias_name in zip((x, pred), names[:2], names[2:]):
-            sums[row_name] = np.bincount(keys, weights=(weight[:, None] * rows).ravel(),
-                                         minlength=groups * rank).reshape(groups, rank)
-            sums[bias_name] = np.bincount(idx, weights=weight, minlength=groups)
+        for weight, kind in ((x, "num_"), (pred, "den_")):
+            sums[kind + group] = np.column_stack((
+                np.bincount(keys, weights=(weight[:, None] * rows).ravel(),
+                            minlength=groups * rank).reshape(groups, rank),
+                np.bincount(idx, weights=weight, minlength=groups)))
     return sums
 
 
@@ -206,12 +202,14 @@ class TestEpochSums:
         for name, expected in oracle.items():
             assert sums[name].tobytes() == expected.tobytes(), name
 
-    @pytest.mark.parametrize("threads, buffers", [(1, 10), (2, 18)])
+    @pytest.mark.parametrize("threads, buffers", [(1, 8), (2, 13.5)])
     def test_peak_allocation_is_a_few_chunk_buffers(self, threads, buffers):
         # Wide's shape at rank 20, over 5 chunks. Allocating every temporary
         # afresh peaked at 11.3 chunk buffers at 1 thread and 20.5 at 2; one
-        # workspace per worker holds it to about 8.3 and 14.4, its 5 buffers
-        # now holding the row gathers that were fresh arrays in each chunk.
+        # five-buffer workspace per worker (products, keys and the row
+        # gathers) held it to 8.3 and 14.3. Summing column by column needs no
+        # keys, and the merge no longer holds a chunk's sums while it awaits
+        # the next: about 6.2 and 11.3-11.9.
         data = _random_tensor(2000, 50, 5 * _CHUNK + 123, seed=5)
         model = init_positive(2000, 50, 20, 0, seed=1)
         z_hat, e_hat = compute_temporal(model)
@@ -230,8 +228,7 @@ class TestEpochSums:
         data = _random_tensor(2000, 50, _CHUNK, seed=5)
         model = init_positive(2000, 50, 20, 0, seed=1)
         z_hat, e_hat = compute_temporal(model)
-        workspace = tuple(np.empty((_CHUNK, 20), dtype)
-                          for dtype in (float, np.intp, float, float, float))
+        workspace = tuple(np.empty((_CHUNK, 20)) for _ in range(4))
         tracemalloc.start()
         try:
             dyntf.trainer._chunk_sums(model, z_hat, e_hat, data, 0, _CHUNK, workspace)
