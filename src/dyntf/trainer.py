@@ -127,8 +127,7 @@ def _chunk_sums(model, z_hat, e_hat, data, lo, hi, workspace):
     uj *= zk  # the S rows
     si *= zk  # the U rows
     rank = model.rank
-    # zk is spent: its first rank * m floats hold the weighted rows, column by column
-    columns = workspace[3].reshape(-1)[:rank * m].reshape(rank, m)
+    columns = zk.reshape(rank, m)  # zk is spent: it holds the weighted rows, column by column
     sums = {}
     for idx, rows, groups, group in ((ii, uj, model.n_nodes, "s"), (jj, si, model.n_nodes, "u"),
                                      (kk, su, model.n_slots, "z")):
