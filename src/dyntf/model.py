@@ -27,6 +27,7 @@ mixes them itself (`compute_temporal`), so no caller hands a mix in.
 
 from __future__ import annotations
 
+import copy
 import json
 import operator
 import os
@@ -125,15 +126,7 @@ class FactorModel:
         return self.weights.window
 
     def copy(self) -> "FactorModel":
-        return FactorModel(
-            S=self.S.copy(),
-            U=self.U.copy(),
-            Z=self.Z.copy(),
-            a=self.a.copy(),
-            c=self.c.copy(),
-            e=self.e.copy(),
-            weights=TemporalWeights(self.weights.band.copy()),
-        )
+        return copy.deepcopy(self)
 
     def validate(self) -> None:
         n, d = self.S.shape
@@ -229,9 +222,20 @@ def predict_entries(model: FactorModel, ii: np.ndarray, jj: np.ndarray,
                     kk: np.ndarray) -> np.ndarray:
     """Predictions for parallel index arrays (ii, jj, kk); each call mixes W.
     Blocks of _BLOCK entries fill one output array, so the gathers held at once
-    are one block's; each prediction reads its own entry alone: no byte changes."""
-    z_hat, e_hat = compute_temporal(model)
+    are one block's; each prediction reads its own entry alone: no byte changes.
+    Raises ValueError for arrays of unequal length and IndexError naming the
+    first entry with an index out of range (negative ones included)."""
     ii, jj, kk = np.asarray(ii), np.asarray(jj), np.asarray(kk)
+    if not ii.shape == jj.shape == kk.shape:
+        raise ValueError("index arrays must have equal length")
+    n, n_slots = model.n_nodes, model.n_slots
+    bad = np.flatnonzero((ii < 0) | (ii >= n) | (jj < 0) | (jj >= n) | (kk < 0) | (kk >= n_slots))
+    if bad.size:
+        i, j, k = ii[bad[0]], jj[bad[0]], kk[bad[0]]
+        if not (0 <= i < n and 0 <= j < n):
+            raise IndexError(f"node index out of range: ({i}, {j}) with N={n}")
+        raise IndexError(f"slot index out of range: {k} with K={n_slots}")
+    z_hat, e_hat = compute_temporal(model)
     out = np.empty(len(ii))
     for lo in range(0, len(ii), _BLOCK):
         i, j, k = (idx[lo:lo + _BLOCK] for idx in (ii, jj, kk))
@@ -249,11 +253,6 @@ def predict_rows(su: np.ndarray, zk: np.ndarray, ai: np.ndarray, cj: np.ndarray,
 
 def predict(model: FactorModel, i: int, j: int, k: int) -> float:
     """Predicted interaction weight for a single (i, j, k) position."""
-    n, ks = model.n_nodes, model.n_slots
-    if not (0 <= i < n and 0 <= j < n):
-        raise IndexError(f"node index out of range: ({i}, {j}) with N={n}")
-    if not (0 <= k < ks):
-        raise IndexError(f"slot index out of range: {k} with K={ks}")
     return float(predict_entries(model, [i], [j], [k])[0])
 
 

@@ -272,12 +272,14 @@ def split(tensor: SparseTensor, ratios, seed: int) -> DatasetSplit:
     entry count. Deterministic given the seed.
 
     Raises:
-        ValueError: fewer than three ratios, ratio sum zero, a negative
-            ratio, an empty input tensor, or any part coming out empty.
+        ValueError: fewer than three ratios, a non-finite or negative ratio,
+            ratio sum zero, an empty input tensor, or any part coming out empty.
     """
     r = np.asarray(ratios, dtype=float)
     if r.shape != (3,):
         raise ValueError("ratios must be a triple (train, validation, test)")
+    if not np.isfinite(r).all():
+        raise ValueError(f"non-finite ratios {tuple(r.tolist())}")
     if (r < 0).any():
         raise ValueError("ratios must be nonnegative")
     n = tensor.n_entries

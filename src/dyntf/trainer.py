@@ -13,10 +13,10 @@ keep their value. `_mu_terms` computes every numerator and denominator;
 `analytic_gradient` is den - num of those same terms, so a finite-
 difference check of it checks the code that trains.
 
-The accumulation is a reduction over observed entries. Entries are
-processed in fixed-size chunks whose partial sums are combined in chunk
-order, so the result is bit-identical whether chunks run on one thread or
-several. `_ordered_map`, the one place dyntf starts threads (the tuner's
+The accumulation is a reduction over observed entries. `_epoch_sums` cuts
+them into fixed-size chunks and adds the chunks' sums up in chunk order, so
+the result is bit-identical whether chunks run on one thread or several.
+`_ordered_map`, the one place dyntf starts threads (the tuner's
 swarm uses it too), runs them; `threads` only sets how many are in flight.
 The chunk size is a constant, never derived from `threads` or the machine:
 the chunk grid fixes the summation order and so the bytes of the model.
@@ -37,6 +37,7 @@ whose (K, 0) band makes that update a no-op.
 
 from __future__ import annotations
 
+import operator
 import queue
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
@@ -62,6 +63,7 @@ class TrainConfig:
     tolerance: float = 1e-5
 
     def __post_init__(self):
+        self.max_epochs = operator.index(self.max_epochs)  # 2.5 fails here, not in range()
         if self.max_epochs < 1:
             raise ValueError("max_epochs must be >= 1")
         if not (0 <= self.tolerance < np.inf):
@@ -175,27 +177,15 @@ def _epoch_sums(model, z_hat, e_hat, data, threads):
         finally:
             free.put(workspace)
 
-    return _merge_in_order(_ordered_map(run, bounds, threads))
-
-
-def _merge_in_order(parts):
-    # adds each chunk's sums into the first chunk's arrays in chunk order,
+    # each chunk's sums are added into the first chunk's arrays in chunk order,
     # so the totals do not depend on which thread ran which chunk
-    parts = iter(parts)
+    parts = _ordered_map(run, bounds, threads)
     total = next(parts)
     for part in parts:
         for key, arr in total.items():
             arr += part[key]
         del part  # not held while the next chunk is awaited
     return total
-
-
-def _window_reach(counts_k: np.ndarray, window: int) -> np.ndarray:
-    # number of observed entries whose slot falls in [l, l + window]
-    k = counts_k.size
-    csum = np.concatenate(([0], np.cumsum(counts_k)))
-    upper = np.minimum(np.arange(k) + window, k - 1)
-    return csum[upper + 1] - csum[np.arange(k)]
 
 
 def _ensure_finite(what: str, arr: np.ndarray) -> None:
@@ -249,7 +239,9 @@ def _mu_terms(model: FactorModel, data, hp: HyperParams, threads: int) -> dict:
         band[m:, :, m - 1] = np.einsum("ksd,kd->ks", slot[m:], ze[:-m])
 
     has_i, has_j = counts_i > 0, counts_j > 0
-    reach = _window_reach(counts_k, window) > 0
+    # Z[l] and e[l] are reached when some entry's slot lies in [l, l + window]
+    csum = np.concatenate(([0], np.cumsum(counts_k)))
+    reach = csum[np.minimum(np.arange(n_slots) + window + 1, n_slots)] > csum[:-1]
     num_s, den_s, num_u, den_u = (sums[name] for name in ("num_s", "den_s", "num_u", "den_u"))
     return {
         "S": (num_s[:, :-1], den_s[:, :-1] + lam * model.S * counts_i[:, None], has_i[:, None]),

@@ -35,6 +35,7 @@ which records the iteration-best scores, stops and builds the report.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -61,6 +62,7 @@ class DEAConfig:
     seed: int | np.random.SeedSequence = 0
 
     def __post_init__(self):
+        self.population = operator.index(self.population)  # 4.5 fails here, not in the spawn
         if self.population < 4:
             raise ValueError("population must be >= 4")
         if not (0 <= self.crossover_prob <= 1):
@@ -82,9 +84,6 @@ class Individual:
     model: FactorModel = field(repr=False)
     rng: np.random.Generator = field(repr=False)
     h_current: float | None = None
-
-    def hyperparams(self) -> HyperParams:
-        return HyperParams(lam=float(self.v[0]), lam_b=float(self.v[1]))
 
 
 @dataclass
@@ -128,10 +127,7 @@ def mutate_and_bound(swarm: Swarm, p: int, config: DEAConfig) -> np.ndarray:
     with np.errstate(over="ignore"):
         candidate = swarm.tau + config.scale_factor * (swarm.individuals[r1].v
                                                        - swarm.individuals[r2].v)
-    lo1, hi1, lo2, hi2 = config.bounds
-    candidate[0] = min(max(candidate[0], lo1), hi1)
-    candidate[1] = min(max(candidate[1], lo2), hi2)
-    return candidate
+    return np.clip(candidate, config.bounds[0::2], config.bounds[1::2])
 
 
 def crossover(previous: np.ndarray, mutant: np.ndarray, config: DEAConfig,
@@ -151,7 +147,8 @@ def evaluate_individual(individual: Individual, train, validation) -> tuple[floa
     (rmse, mae, h), which it returns. H is also kept as h_current, for
     update_best and for on_iteration watchers.
     """
-    nmu_epoch(individual.model, train, individual.hyperparams())
+    lam, lam_b = individual.v
+    nmu_epoch(individual.model, train, HyperParams(lam=float(lam), lam_b=float(lam_b)))
     scores = validation_metrics(individual.model, validation)
     individual.h_current = scores[2]
     return scores

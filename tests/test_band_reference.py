@@ -55,7 +55,9 @@ def dense_epoch(model, data, hp, denom_floor=1e-12):
     num_z, den_z = w.T @ g_num, w.T @ g_den
     num_e, den_e = w.T @ h_num, w.T @ h_den
     has_i, has_j = counts_i > 0, counts_j > 0
-    reach = dyntf.trainer._window_reach(counts_k, window) > 0
+    # Z[l] and e[l] are reached by the entries of the slots k in [l, l + window]
+    slots = np.arange(K)
+    reach = ((slots >= slots[:, None]) & (slots <= slots[:, None] + window)) @ counts_k > 0
 
     def step(mask, old, num, den):
         return np.where(mask, old * num / np.maximum(den, denom_floor), old)

@@ -312,6 +312,20 @@ class TestEvaluate:
                    "--report", workspace / "ev.json") == 3
         assert "dimension mismatch" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("test, message", [
+        ("%dims 30 30 10\n# nothing observed\n", "error: empty test set"),
+        ("%dims 30 30 10\n0 0 0 xyz\n", "error: malformed line 2: value is not a number"),
+    ], ids=["empty", "malformed"])
+    def test_unusable_test_file_is_data_error(self, workspace, capsys, test, message):
+        # a fault other than a dimension mismatch is reported as it is
+        path = workspace / "bad.coo"
+        path.write_text(test)
+        capsys.readouterr()  # drop the workspace's own log lines
+        assert run("evaluate", "--model", workspace / "truth.json", "--test", path,
+                   "--report", workspace / "ev.json") == 3
+        assert capsys.readouterr().err == message + "\n"
+        assert not (workspace / "ev.json").exists()
+
     @pytest.mark.parametrize("flag", ["--nodes", "--slots"])
     def test_dimension_flags_rejected(self, workspace, capsys, flag):
         # the model fixes N and K; there is nothing to pass

@@ -188,6 +188,23 @@ class TestPredict:
         with pytest.raises(IndexError):
             predict(m, 0, 0, 2)
 
+    def test_unequal_index_lengths_rejected(self):
+        # broadcasting would predict 3 entries from one j and one k
+        m = init_positive(3, 2, 1, 0, seed=0)
+        with pytest.raises(ValueError, match="equal length"):
+            predict_entries(m, [0, 1, 2], [0], [0])
+
+    @pytest.mark.parametrize("ii, jj, kk, message", [
+        ([0, -1], [0, 0], [0, 0], r"^node index out of range: \(-1, 0\) with N=3$"),
+        ([0, 0, 1], [0, 3, -1], [1, 0, 9], r"^node index out of range: \(0, 3\) with N=3$"),
+        ([0, 1, 2], [0, 0, 0], [0, -1, 5], r"^slot index out of range: -1 with K=2$"),
+    ])
+    def test_first_bad_index_is_named(self, ii, jj, kk, message):
+        # a negative index would otherwise wrap around to the last node or slot
+        m = init_positive(3, 2, 1, 0, seed=0)
+        with pytest.raises(IndexError, match=message):
+            predict_entries(m, np.array(ii), np.array(jj), np.array(kk))
+
     def test_vectorized_matches_scalar(self):
         m = init_positive(5, 4, 3, 2, seed=11)
         ii = np.array([0, 2, 4])
@@ -352,3 +369,11 @@ def test_validate_catches_shape_and_sign_errors():
     bad2.a[0] = -0.5
     with pytest.raises(ValueError):
         bad2.validate()
+    bad3 = m.copy()
+    bad3.e = bad3.e[:2]
+    with pytest.raises(ValueError, match="bias vector dimensions disagree"):
+        bad3.validate()
+    bad4 = m.copy()
+    bad4.weights.band = bad4.weights.band[:2]
+    with pytest.raises(ValueError, match="band must have K rows"):
+        bad4.validate()

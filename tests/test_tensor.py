@@ -35,6 +35,12 @@ class TestLoadCoo:
         assert t.n_nodes == 4
         with pytest.raises(DataError, match="disagrees"):
             _load("%dims 4 4 3\n0 0 0 1.0\n", n_nodes=5, n_slots=3)
+        with pytest.raises(DataError, match="^declared n_slots 2 disagrees with %dims header 3$"):
+            _load("%dims 4 4 3\n0 0 0 1.0\n", n_nodes=4, n_slots=2)
+
+    def test_dims_header_needs_three_values(self):
+        with pytest.raises(DataError, match="^malformed line 2: expected '%dims N N K'$"):
+            _load("# comment\n%dims 3 3\n0 0 0 1.0\n")
 
     def test_missing_dims(self):
         with pytest.raises(DataError, match="dimensions unknown"):
@@ -406,6 +412,8 @@ def test_constructor_validation():
         SparseTensor(2, 2, [0, 0, 5], [0, 0, 0], [0, 0, 0], [1.0] * 3)
     with pytest.raises(ValueError, match="n_nodes and n_slots"):
         SparseTensor(2**63, 1, [], [], [], [])
+    with pytest.raises(ValueError, match="equal length"):
+        SparseTensor(2, 2, [0, 1], [0, 1], [0], [1.0, 1.0])
 
 
 @settings(max_examples=200, deadline=None)
@@ -472,6 +480,12 @@ class TestSplit:
             split(small_tensor, (1, 1), seed=0)
         with pytest.raises(ValueError, match="nonnegative"):
             split(small_tensor, (7, -1, 2), seed=0)
+
+    @pytest.mark.parametrize("ratios", [(np.inf, 1, 1), (1, np.nan, 1), (7, 1, -np.inf)])
+    def test_non_finite_ratios_rejected(self, small_tensor, ratios):
+        # named before any arithmetic, which would warn and then fail on NaN
+        with pytest.raises(ValueError, match=r"^non-finite ratios \("):
+            split(small_tensor, ratios, seed=0)
 
     def test_huge_ratios_keep_proportions(self, small_tensor):
         # n * 1e308 overflows; only the proportions may matter

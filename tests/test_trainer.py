@@ -195,9 +195,11 @@ class TestEpochSums:
         model = init_positive(80, 30, rank, window, seed=seed)
         z_hat, e_hat = compute_temporal(model)
         sums = dyntf.trainer._epoch_sums(model, z_hat, e_hat, data, threads)
-        oracle = dyntf.trainer._merge_in_order(
-            _allocating_chunk_sums(model, z_hat, e_hat, data, lo, min(lo + _CHUNK, n_entries))
-            for lo in range(0, n_entries, _CHUNK))
+        parts = [_allocating_chunk_sums(model, z_hat, e_hat, data, lo, min(lo + _CHUNK, n_entries))
+                 for lo in range(0, n_entries, _CHUNK)]
+        # the chunks' sums added up in chunk order
+        oracle = {name: sum((part[name] for part in parts[1:]), parts[0][name])
+                  for name in parts[0]}
         assert sums.keys() == oracle.keys()
         for name, expected in oracle.items():
             assert sums[name].tobytes() == expected.tobytes(), name
@@ -388,6 +390,15 @@ class TestTrain:
             TrainConfig(max_epochs=0)
         with pytest.raises(ValueError):
             TrainConfig(tolerance=-1.0)
+
+    @pytest.mark.parametrize("max_epochs", [2.5, 3.0, np.float64(3)], ids=["2.5", "3.0", "float64"])
+    def test_max_epochs_must_be_an_integer(self, max_epochs):
+        # caught here, not as a TypeError from range() inside train
+        with pytest.raises(TypeError, match="integer"):
+            TrainConfig(max_epochs=max_epochs)
+
+    def test_integer_max_epochs_is_a_python_int(self):
+        assert type(TrainConfig(max_epochs=np.int64(3)).max_epochs) is int
 
 
 def _perturbed(model: FactorModel, coord, delta: float) -> FactorModel:

@@ -55,6 +55,15 @@ class TestDEAConfig:
         with pytest.raises(ValueError, match="best_rule"):
             DEAConfig(best_rule="other")
 
+    @pytest.mark.parametrize("population", [4.5, 5.0, np.float64(5)], ids=["4.5", "5.0", "float64"])
+    def test_population_must_be_an_integer(self, population):
+        # caught here, not as a TypeError from the swarm's spawn inside adapt_train
+        with pytest.raises(TypeError, match="integer"):
+            DEAConfig(population=population)
+
+    def test_integer_population_is_a_python_int(self):
+        assert type(DEAConfig(population=np.int64(5)).population) is int
+
 
 class TestInitSwarm:
     def test_vectors_inside_bounds_and_deterministic(self):
