@@ -12,9 +12,8 @@ from .metrics import convergence_rounds, h_score, mae, rmse
 from .model import (FactorModel, HyperParams, TemporalWeights, band_indices,
                     compute_temporal, init_positive, load_model, model_from_dict,
                     model_to_dict, objective, predict, predict_entries, save_model)
-from .tensor import (DatasetSplit, DatasetStats, ObservedEntry, SparseTensor,
-                     compute_stats, generate_synthetic, load_coo, save_coo,
-                     split)
+from .tensor import (DatasetSplit, DatasetStats, SparseTensor, compute_stats,
+                     generate_synthetic, load_coo, save_coo, split)
 from .trainer import (TrainConfig, TrainReport, analytic_gradient, nmu_epoch,
                       train, validation_metrics)
 from .tuner import (DEAConfig, Individual, Swarm, adapt_train, crossover,
@@ -30,7 +29,7 @@ __all__ = [
     "band_indices", "compute_temporal", "init_positive", "load_model",
     "model_from_dict", "model_to_dict", "objective", "predict",
     "predict_entries", "save_model",
-    "DatasetSplit", "DatasetStats", "ObservedEntry", "SparseTensor",
+    "DatasetSplit", "DatasetStats", "SparseTensor",
     "compute_stats", "generate_synthetic", "load_coo",
     "save_coo", "split",
     "TrainConfig", "TrainReport", "analytic_gradient", "nmu_epoch",

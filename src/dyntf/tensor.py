@@ -3,8 +3,9 @@
 An N x N x K tensor is kept as its observed-entry set in coordinate form:
 parallel arrays of sender index i, receiver index j, temporal slot k, and
 a nonnegative value. The observed set is a set: duplicate (i, j, k)
-coordinates are rejected. Tensors are immutable after construction and
-safe to share read-only across threads.
+coordinates are rejected. A tensor copies its inputs and freezes the
+copies, so no write by the caller reaches a validated tensor; it is safe
+to share read-only across threads. An empty set is a valid tensor.
 
 Text format: one `i j k value` record per line, `#` starts a comment
 line, and an optional `%dims N N K` header may appear as the first line
@@ -13,21 +14,14 @@ that is neither blank nor a comment.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
 from .atomic import open_atomic
 from .errors import DataError
 from .model import FactorModel, TemporalWeights, predict_entries
-
-
-class ObservedEntry(NamedTuple):
-    i: int
-    j: int
-    k: int
-    value: float
 
 
 MAX_DIM = 2**63 - 1  # the largest N or K: every in-bounds index fits the int64 index arrays
@@ -44,15 +38,15 @@ class SparseTensor:
     """
 
     def __init__(self, n_nodes: int, n_slots: int, i, j, k, values):
-        if not (1 <= n_nodes <= MAX_DIM and 1 <= n_slots <= MAX_DIM):
+        self.n_nodes = operator.index(n_nodes)  # 2.9 fails here, not truncated to 2
+        self.n_slots = operator.index(n_slots)
+        if not (1 <= self.n_nodes <= MAX_DIM and 1 <= self.n_slots <= MAX_DIM):
             raise ValueError("n_nodes and n_slots must lie in [1, 2**63 - 1], "
                              f"got {n_nodes}, {n_slots}")
-        self.n_nodes = int(n_nodes)
-        self.n_slots = int(n_slots)
-        self.i = np.ascontiguousarray(i, dtype=np.int64)
-        self.j = np.ascontiguousarray(j, dtype=np.int64)
-        self.k = np.ascontiguousarray(k, dtype=np.int64)
-        self.values = np.ascontiguousarray(values, dtype=np.float64)
+        self.i = np.array(i, dtype=np.int64)
+        self.j = np.array(j, dtype=np.int64)
+        self.k = np.array(k, dtype=np.int64)
+        self.values = np.array(values, dtype=np.float64)
         if not (self.i.shape == self.j.shape == self.k.shape == self.values.shape):
             raise ValueError("index and value arrays must have equal length")
         self._validate()
@@ -85,11 +79,6 @@ class SparseTensor:
     @property
     def n_entries(self) -> int:
         return int(self.values.size)
-
-    @property
-    def entries(self) -> list[ObservedEntry]:
-        return [ObservedEntry(int(a), int(b), int(c), float(v))
-                for a, b, c, v in zip(self.i, self.j, self.k, self.values)]
 
     def take(self, positions: np.ndarray) -> "SparseTensor":
         """New tensor over the same (N, K) holding the selected entries."""

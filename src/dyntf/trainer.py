@@ -14,10 +14,11 @@ keep their value. `_mu_terms` computes every numerator and denominator;
 difference check of it checks the code that trains.
 
 The accumulation is a reduction over observed entries. `_epoch_sums` cuts
-them into fixed-size chunks and adds the chunks' sums up in chunk order, so
-the result is bit-identical whether chunks run on one thread or several.
-`_ordered_map`, the one place dyntf starts threads (the tuner's
-swarm uses it too), runs them; `threads` only sets how many are in flight.
+them into fixed-size chunks (an empty set is one empty chunk) and adds the
+chunks' sums up in chunk order, so the result is bit-identical whether
+chunks run on one thread or several. `_ordered_map`, the one place dyntf
+starts threads (the tuner's swarm uses it too), runs them on a pool
+whenever threads > 1; `threads` only sets how many are in flight.
 The chunk size is a constant, never derived from `threads` or the machine:
 the chunk grid fixes the summation order and so the bytes of the model.
 Its value, 8192 entries, came from a sweep of 4096/8192/16384 on a
@@ -146,10 +147,10 @@ def _chunk_sums(model, z_hat, e_hat, data, lo, hi, workspace):
 
 def _ordered_map(fn, items, threads):
     """Yield fn(item) for every item, in item order; the calls run on a pool
-    of `threads` workers only when threads > 1 and there are several items.
-    At most threads + 1 results are held: one item more than there are
-    workers is queued, so a worker that is done never waits for the caller."""
-    if threads > 1 and len(items) > 1:
+    of `threads` workers whenever threads > 1. At most threads + 1 results
+    are held: one item more than there are workers is queued, so a worker
+    that is done never waits for the caller."""
+    if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
             pending = deque()
             for item in items:
@@ -163,8 +164,9 @@ def _ordered_map(fn, items, threads):
 
 
 def _epoch_sums(model, z_hat, e_hat, data, threads):
+    # an empty set is one empty chunk, whose sums are zeros
     bounds = [(lo, min(lo + _CHUNK, data.n_entries))
-              for lo in range(0, data.n_entries, _CHUNK)]
+              for lo in range(0, max(data.n_entries, 1), _CHUNK)]
     shape = (min(_CHUNK, data.n_entries), model.rank)
     free = queue.SimpleQueue()  # one workspace per chunk that can be in flight
     for _ in range(min(threads, len(bounds))):
@@ -196,8 +198,8 @@ def _ensure_finite(what: str, arr: np.ndarray) -> None:
 @np.errstate(over="ignore", invalid="ignore")
 def _mu_terms(model: FactorModel, data, hp: HyperParams, threads: int) -> dict:
     """{group: (num, den, mask)} for S, U, Z, a, c, e and the W band over the
-    entries of `data` (at least one), mixing W once. den - num is the gradient
-    of objective(); mask marks the parameters some entry reaches, and den - num
+    entries of `data`, mixing W once. den - num is the gradient of
+    objective(); mask marks the parameters some entry reaches, and den - num
     is 0 elsewhere. With x_hat the current prediction:
 
       S[i,d]: num = sum over entries of i of x * U[j,d] * z_hat[k,d]
@@ -255,7 +257,7 @@ def _mu_terms(model: FactorModel, data, hp: HyperParams, threads: int) -> dict:
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def nmu_epoch(model: FactorModel, train: "SparseTensor", hp: HyperParams,
+def nmu_epoch(model: FactorModel, train: "SparseTensor", hp: HyperParams, *,
               threads: int = 1) -> FactorModel:
     """Run one full multiplicative update in place and return the model.
 
@@ -265,8 +267,6 @@ def nmu_epoch(model: FactorModel, train: "SparseTensor", hp: HyperParams,
     model as it was, when a term or an updated group turns non-finite or
     the updated predictions could overflow.
     """
-    if train.n_entries == 0:
-        return model  # nothing observed: every entry subset is empty
     terms = _mu_terms(model, train, hp, threads)
     old = {"S": model.S, "U": model.U, "Z": model.Z, "a": model.a, "c": model.c,
            "e": model.e, "W": model.weights.band}
@@ -395,7 +395,5 @@ def analytic_gradient(model: FactorModel, entries, hp: HyperParams, coordinate) 
         if l >= k or k - l > model.window:
             raise ValueError(f"inadmissible temporal weight coordinate (k={k}, l={l})")
         index = [k, k - l - 1]  # its band slot
-    if entries.n_entries == 0:
-        return 0.0
     num, den, _ = _mu_terms(model, entries, hp, 1)[group]
     return float(den[tuple(index)] - num[tuple(index)])

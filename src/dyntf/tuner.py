@@ -25,8 +25,9 @@ iteration, and sweeps p = 1..P replacing tau whenever F_p > F_{p-1}
 iteration.
 
 RNG is split into one stream per individual derived from the master
-seed, so concurrent and sequential evaluation schedules draw identical
-values.
+seed. Every draw runs on the main thread once the evaluations are back;
+the streams stay because they fix the bytes of every adaptive run, and
+merging them would change those bytes.
 
 An iteration is one step of the trainer's epoch loop (`_run_epochs`),
 which records the iteration-best scores, stops and builds the report.

@@ -35,3 +35,9 @@ def small_tensor():
     kk = [0, 1, 0, 2, 1, 2, 0, 1]
     vals = [1.0, 2.0, 0.5, 1.5, 3.0, 0.25, 2.5, 0.75]
     return dyntf.SparseTensor(4, 3, ii, jj, kk, vals)
+
+
+def entry_tuples(tensor):
+    """The tensor's entries as (i, j, k, value) tuples of Python numbers, in entry order."""
+    return list(zip(tensor.i.tolist(), tensor.j.tolist(), tensor.k.tolist(),
+                    tensor.values.tolist()))

@@ -4,6 +4,7 @@ traced bench run fails long after the refactor that broke it."""
 
 import importlib
 import importlib.util
+import inspect
 from pathlib import Path
 
 import pytest
@@ -30,6 +31,12 @@ def _owner(owner_path):
 @pytest.mark.parametrize("owner, attr, span", _spans().TARGETS)
 def test_traced_name_resolves(owner, attr, span):
     assert callable(getattr(_owner(owner), attr, None)), f"{owner}.{attr} (span {span}) is gone"
+
+
+def test_nmu_epoch_threads_is_keyword_only():
+    # the nmu_epoch span reads the thread count from kwargs["threads"]
+    param = inspect.signature(dyntf.nmu_epoch).parameters["threads"]
+    assert param.kind is inspect.Parameter.KEYWORD_ONLY
 
 
 def test_wrapped_train_records_spans(tmp_path, monkeypatch):

@@ -15,6 +15,8 @@ import dyntf
 from dyntf.atomic import write_json
 from dyntf.cli import main
 
+from conftest import entry_tuples
+
 
 def run(*argv):
     return main([str(a) for a in argv])
@@ -130,8 +132,8 @@ class TestSplit:
         assert sum(p.n_entries for p in parts) == full.n_entries
         merged = set()
         for p in parts:
-            merged |= set(p.entries)
-        assert merged == set(full.entries)
+            merged |= set(entry_tuples(p))
+        assert merged == set(entry_tuples(full))
 
     def test_bad_ratios_usage_error(self, workspace):
         assert run("split", "--input", workspace / "data.coo", "--ratios", "1,2",
@@ -307,10 +309,18 @@ class TestEvaluate:
         assert _train(workspace, "--lambda", 0.01, "--lambda-b", 0.01,
                       "--max-epochs", 5) == 0
         big = workspace / "big.coo"
-        big.write_text("%dims 99 99 10\n50 0 0 1.0\n")
-        assert run("evaluate", "--model", workspace / "m.json", "--test", big,
-                   "--report", workspace / "ev.json") == 3
-        assert "dimension mismatch" in capsys.readouterr().err
+        # the model is N=30, K=10: a header that disagrees, then a node and a
+        # slot past the model under a matching header, and with no header
+        for text, fault in [("%dims 99 99 10\n50 0 0 1.0\n", "declared n_nodes 30 disagrees"),
+                            ("%dims 30 30 10\n0 30 0 1.0\n", "node index out of bounds"),
+                            ("%dims 30 30 10\n0 0 10 1.0\n", "slot index out of bounds"),
+                            ("50 0 0 1.0\n", "node index out of bounds")]:
+            big.write_text(text)
+            capsys.readouterr()
+            assert run("evaluate", "--model", workspace / "m.json", "--test", big,
+                       "--report", workspace / "ev.json") == 3
+            assert capsys.readouterr().err.startswith(
+                f"error: dimension mismatch between model and test tensor: {fault}")
 
     @pytest.mark.parametrize("test, message", [
         ("%dims 30 30 10\n# nothing observed\n", "error: empty test set"),
@@ -351,11 +361,10 @@ class TestPredict:
                    "--noise", 0, "--seed", 1, "--out", tmp_path / "d.coo",
                    "--truth-out", tmp_path / "t.json") == 0
         data = dyntf.load_coo(tmp_path / "d.coo")
-        e = data.entries[11]
-        assert run("predict", "--model", tmp_path / "t.json",
-                   "--i", e.i, "--j", e.j, "--k", e.k) == 0
+        i, j, k, value = entry_tuples(data)[11]
+        assert run("predict", "--model", tmp_path / "t.json", "--i", i, "--j", j, "--k", k) == 0
         got = float(capsys.readouterr().out)
-        assert abs(got - e.value) <= 1e-12
+        assert abs(got - value) <= 1e-12
 
     def test_out_of_range_index(self, tmp_path, capsys):
         m = dyntf.init_positive(3, 2, 1, 0, seed=0)

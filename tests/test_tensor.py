@@ -11,6 +11,8 @@ import dyntf
 from dyntf import DataError, SparseTensor, compute_stats, generate_synthetic, load_coo, save_coo, split
 from dyntf.tensor import MAX_DIM, _sample_positions
 
+from conftest import entry_tuples
+
 
 def _load(text, **kw):
     return load_coo(io.StringIO(text), **kw)
@@ -19,7 +21,7 @@ def _load(text, **kw):
 class TestLoadCoo:
     def test_basic_parse(self):
         t = _load("0 1 2 3.5\n", n_nodes=2, n_slots=3)
-        assert t.entries == [dyntf.ObservedEntry(0, 1, 2, 3.5)]
+        assert entry_tuples(t) == [(0, 1, 2, 3.5)]
 
     def test_comments_and_blank_lines_skipped(self):
         t = _load("# header\n\n0 0 0 1.0\n  # indented comment\n1 1 0 2.0\n",
@@ -116,7 +118,7 @@ def test_round_trip_exact(tmp_path, small_tensor):
     path = tmp_path / "t.coo"
     save_coo(t, path)
     back = load_coo(path)
-    assert back.entries == t.entries
+    assert entry_tuples(back) == entry_tuples(t)
     assert np.array_equal(back.values, t.values)
 
 
@@ -343,7 +345,7 @@ def test_save_load_round_trips_every_double(values):
     save_coo(t, buf)
     back = _load(buf.getvalue())
     assert back.values.tobytes() == t.values.tobytes()
-    assert back.entries == t.entries
+    assert entry_tuples(back) == entry_tuples(t)
 
 
 def _reference_save(tensor):
@@ -388,9 +390,39 @@ def test_tensor_arrays_read_only(small_tensor):
         small_tensor.values[0] = 9.0
 
 
+def test_caller_arrays_stay_writable():
+    # the tensor freezes its own copies, not the caller's arrays
+    ii, jj, kk = (np.array([0, 1], dtype=np.int64) for _ in range(3))
+    values = np.array([1.0, 2.0])
+    t = SparseTensor(2, 2, ii, jj, kk, values)
+    ii[0] = jj[0] = kk[0] = 1
+    values[0] = -1.0
+    assert entry_tuples(t) == [(0, 0, 0, 1.0), (1, 1, 1, 2.0)]
+
+
+def test_write_to_view_base_does_not_reach_tensor():
+    # the validated entries are the tensor's own: a view's base cannot change them
+    big = np.arange(6)
+    t = SparseTensor(3, 1, big[:3], big[:3], np.zeros(3, dtype=np.int64), np.ones(3))
+    big[0] = 99
+    assert t.i.tolist() == t.j.tolist() == [0, 1, 2]
+
+
+def test_dimensions_must_be_integers():
+    # a float is refused, not truncated to an int; a numpy integer is an int
+    for n_nodes, n_slots in [(2.9, 1), (2, 1.5), (2.0, 1)]:
+        with pytest.raises(TypeError):
+            SparseTensor(n_nodes, n_slots, [1], [1], [0], [1.0])
+        with pytest.raises(TypeError):
+            _load("1 1 0 1.0\n", n_nodes=n_nodes, n_slots=n_slots)
+    t = SparseTensor(np.int64(2), np.int64(1), [1], [1], [0], [1.0])
+    assert (type(t.n_nodes), type(t.n_slots)) == (int, int)
+
+
 def test_take_subset(small_tensor):
     sub = small_tensor.take(np.array([1, 3]))
-    assert sub.entries == [small_tensor.entries[1], small_tensor.entries[3]]
+    entries = entry_tuples(small_tensor)
+    assert entry_tuples(sub) == [entries[1], entries[3]]
     assert (sub.n_nodes, sub.n_slots) == (4, 3)
 
 
@@ -460,14 +492,14 @@ class TestSplit:
         a = split(data, (7, 1, 2), seed=13)
         b = split(data, (7, 1, 2), seed=13)
         for part in ("train", "validation", "test"):
-            assert getattr(a, part).entries == getattr(b, part).entries
+            assert entry_tuples(getattr(a, part)) == entry_tuples(getattr(b, part))
 
     def test_disjoint_union(self, fixture_data):
         data, _ = fixture_data
         sp = split(data, (7, 1, 2), seed=13)
-        parts = [set(p.entries) for p in (sp.train, sp.validation, sp.test)]
+        parts = [set(entry_tuples(p)) for p in (sp.train, sp.validation, sp.test)]
         assert sum(len(p) for p in parts) == data.n_entries
-        assert parts[0] | parts[1] | parts[2] == set(data.entries)
+        assert parts[0] | parts[1] | parts[2] == set(entry_tuples(data))
 
     def test_zero_ratio_part_rejected(self, small_tensor):
         with pytest.raises(ValueError, match=r"empty split part.* at ratios \(1\.0, 0\.0, 0\.0\)"):
@@ -492,7 +524,7 @@ class TestSplit:
         a = split(small_tensor, (1e308, 1e308, 1e308), seed=0)
         b = split(small_tensor, (1, 1, 1), seed=0)
         for part in ("train", "validation", "test"):
-            assert getattr(a, part).entries == getattr(b, part).entries
+            assert entry_tuples(getattr(a, part)) == entry_tuples(getattr(b, part))
         with pytest.raises(ValueError, match="empty split part"):
             split(small_tensor, (7, 1e308, 2), seed=0)
 
@@ -543,7 +575,7 @@ class TestGenerateSynthetic:
         a, ta = generate_synthetic(10, 4, 2, 0.2, 0.5, 0.01, seed=3)
         b, tb = generate_synthetic(10, 4, 2, 0.2, 0.5, 0.01, seed=3)
         assert np.array_equal(a.values, b.values)
-        assert a.entries == b.entries
+        assert entry_tuples(a) == entry_tuples(b)
         assert np.array_equal(ta.Z, tb.Z)
 
     def test_noiseless_values_match_truth(self):

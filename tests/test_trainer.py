@@ -488,15 +488,18 @@ class TestAnalyticGradient:
     @pytest.mark.parametrize("n_nodes, n_slots", [(4, 2), (3, 3)])
     def test_tensor_larger_than_model_rejected_before_any_gather(self, n_nodes, n_slots):
         # the chunk gathers clip their indices, so an entry past the model's
-        # rows must be refused before it could train on the wrong row
+        # rows must be refused before it could train on the wrong row; an
+        # empty tensor of the same size is refused alike
         m = init_positive(3, 2, 2, 1, seed=0)
-        t = SparseTensor(n_nodes, n_slots, [0, n_nodes - 1], [1, 0], [0, n_slots - 1],
-                         [1.0, 2.0])
+        full = SparseTensor(n_nodes, n_slots, [0, n_nodes - 1], [1, 0], [0, n_slots - 1],
+                            [1.0, 2.0])
+        empty = SparseTensor(n_nodes, n_slots, [], [], [], [])
         size = f"a tensor of N={n_nodes}, K={n_slots} does not fit a model of N=3, K=2"
-        with pytest.raises(ValueError, match=size):
-            nmu_epoch(m.copy(), t, HyperParams(0.0, 0.0))
-        with pytest.raises(ValueError, match=size):
-            analytic_gradient(m, t, HyperParams(0.0, 0.0), ("s", 0, 0))
+        for t in (full, empty):
+            with pytest.raises(ValueError, match=size):
+                nmu_epoch(m.copy(), t, HyperParams(0.0, 0.0))
+            with pytest.raises(ValueError, match=size):
+                analytic_gradient(m, t, HyperParams(0.0, 0.0), ("s", 0, 0))
 
     def test_out_of_range_coordinate(self):
         m, t = _single_entry_model()

@@ -128,6 +128,14 @@ class TestMutateAndBound:
         got = mutate_and_bound(swarm, 0, cfg)  # a RuntimeWarning fails the suite
         assert np.array_equal(got, np.array([1e308, 1.0]))
 
+    def test_two_individuals_rejected(self):
+        # two donors distinct from the target need at least three individuals
+        swarm = _vector_swarm([(0.9, 0.9), (0.3, 0.4)], tau=(0.1, 0.2),
+                              rngs=[_StubRng(choice=[0, 1])] * 2)
+        cfg = DEAConfig(population=4, bounds=(0.0, 1.0, 0.0, 1.0))
+        with pytest.raises(ValueError, match="^mutation needs at least 3 individuals$"):
+            mutate_and_bound(swarm, 0, cfg)
+
     def test_donors_never_include_target(self):
         template = init_positive(4, 3, 1, 0, seed=0)
         swarm = init_swarm(DEAConfig(population=5, seed=7), template)
