@@ -7,14 +7,15 @@ coordinates are rejected. A tensor copies its inputs and freezes the
 copies, so no write by the caller reaches a validated tensor; it is safe
 to share read-only across threads. An empty set is a valid tensor.
 
-Text format: one `i j k value` record per line, `#` starts a comment
-line, and an optional `%dims N N K` header may appear as the first line
-that is neither blank nor a comment.
+Text format: one `i j k value` record a line, `#` starts a comment line,
+and an optional `%dims N N K` header may only be the first record. Reading
+and writing hold one block of lines at a time, never the file's text.
 """
 
 from __future__ import annotations
 
 import operator
+from contextlib import nullcontext
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,6 +26,8 @@ from .model import FactorModel, TemporalWeights, predict_entries
 
 
 MAX_DIM = 2**63 - 1  # the largest N or K: every in-bounds index fits the int64 index arrays
+_READ_BLOCK = 1 << 20  # bytes (characters for a text stream) load_coo reads at once
+_WRITE_BLOCK = 8192  # lines save_coo formats per write
 
 
 class SparseTensor:
@@ -38,19 +41,20 @@ class SparseTensor:
     """
 
     def __init__(self, n_nodes: int, n_slots: int, i, j, k, values):
+        self._keep(n_nodes, n_slots, *(np.array(a, dtype=np.int64) for a in (i, j, k)),
+                   np.array(values, dtype=np.float64))
+
+    def _keep(self, n_nodes, n_slots, i, j, k, values) -> None:  # arrays nothing else holds
         self.n_nodes = operator.index(n_nodes)  # 2.9 fails here, not truncated to 2
         self.n_slots = operator.index(n_slots)
         if not (1 <= self.n_nodes <= MAX_DIM and 1 <= self.n_slots <= MAX_DIM):
             raise ValueError("n_nodes and n_slots must lie in [1, 2**63 - 1], "
                              f"got {n_nodes}, {n_slots}")
-        self.i = np.array(i, dtype=np.int64)
-        self.j = np.array(j, dtype=np.int64)
-        self.k = np.array(k, dtype=np.int64)
-        self.values = np.array(values, dtype=np.float64)
-        if not (self.i.shape == self.j.shape == self.k.shape == self.values.shape):
+        self.i, self.j, self.k, self.values = i, j, k, values
+        if not (i.shape == j.shape == k.shape == values.shape):
             raise ValueError("index and value arrays must have equal length")
         self._validate()
-        for arr in (self.i, self.j, self.k, self.values):
+        for arr in (i, j, k, values):
             arr.setflags(write=False)
 
     def _validate(self) -> None:
@@ -82,9 +86,11 @@ class SparseTensor:
 
     def take(self, positions: np.ndarray) -> "SparseTensor":
         """New tensor over the same (N, K) holding the selected entries."""
-        return SparseTensor(self.n_nodes, self.n_slots,
-                            self.i[positions], self.j[positions],
-                            self.k[positions], self.values[positions])
+        part = SparseTensor.__new__(SparseTensor)
+        # indexing by an array copies: the part keeps those copies, not a second one
+        part._keep(self.n_nodes, self.n_slots, self.i[positions], self.j[positions],
+                   self.k[positions], self.values[positions])
+        return part
 
 
 @dataclass
@@ -122,61 +128,96 @@ def _fault(i: int, j: int, k: int, value: float, n_nodes: int, n_slots: int) -> 
 
 
 def load_coo(source, n_nodes: int | None = None, n_slots: int | None = None) -> SparseTensor:
-    """Parse COO text into a SparseTensor.
+    """Parse COO text into a SparseTensor, _READ_BLOCK bytes (or characters)
+    at a time, so about one block of text is held whatever the file's size.
 
     Args:
-        source: path, text stream, or byte stream; lines end at "\\n" alone.
-        n_nodes, n_slots: declared bounds. Optional if the file carries a
-            `%dims N N K` header; if both are present they must agree.
+        source: path (read as bytes), text or byte stream; lines end at "\\n" alone.
+        n_nodes, n_slots: declared bounds, integers. Optional if the file
+            carries a `%dims N N K` header; if both are present they must agree.
 
     Raises:
         DataError: malformed record, out-of-bounds index, negative or
-            non-finite value, duplicate coordinate (all with the offending
-            line number), or missing dimensions.
+            non-finite value, duplicate coordinate, invalid UTF-8 (all with the
+            offending line number; invalid UTF-8 first), or missing dimensions.
         ValueError: N or K below 1 or above 2**63 - 1, whatever the records hold.
     """
-    if hasattr(source, "read"):
-        return _load_coo_stream(source, n_nodes, n_slots)
-    with open(source, "rb") as fh:  # bytes, so no newline translation
-        return _load_coo_stream(fh, n_nodes, n_slots)
+    # integers before any record is read, so 3.0 fails with or without a header
+    n_nodes, n_slots = (None if n is None else operator.index(n) for n in (n_nodes, n_slots))
+    with nullcontext(source) if hasattr(source, "read") else open(source, "rb") as stream:
+        blocks = _line_blocks(stream)
+        try:
+            return _parse_blocks(blocks, n_nodes, n_slots)
+        except (DataError, ValueError):
+            for _ in blocks:  # invalid UTF-8 anywhere in the file is reported first
+                pass
+            raise
 
 
-def _load_coo_stream(stream, n_nodes, n_slots) -> SparseTensor:
-    # The records are the stripped lines that are neither blank nor a comment;
-    # a header may only be the first. numpy's C reader reads the data rows in
-    # one go, and if it refuses one, _walk reads them up to the first row bad
-    # on its own. SparseTensor names the first bad entry among the rows before
-    # that one, so an earlier bad line still wins; the record is mapped to its
-    # line only then.
-    text = stream.read()
+def _line_blocks(stream):
+    """Yield (lines, number of lines before them) for each _READ_BLOCK read."""
+    carry, before = [], 0
+    while True:
+        block = stream.read(_READ_BLOCK)
+        cut = block.rfind(b"\n" if isinstance(block, bytes) else "\n")
+        if block and cut < 0:  # a line cut by a read is carried into the next
+            carry.append(block)
+            continue
+        text = block[:0].join(carry + [block[:cut]])  # at the end: the text after the last newline
+        carry = [block[cut + 1:]]
+        try:
+            lines = (text.decode("utf-8") if isinstance(text, bytes) else text).split("\n")
+        except UnicodeDecodeError as exc:
+            lineno = before + text.count(b"\n", 0, exc.start) + 1
+            raise DataError(f"invalid UTF-8 at line {lineno}: {exc.reason}") from None
+        yield lines, before
+        if not block:
+            return
+        before += len(lines)
+
+
+def _parse_blocks(blocks, n_nodes, n_slots) -> SparseTensor:
+    # The records are the stripped lines that are neither blank nor a comment.
+    # numpy's C reader reads a block's data rows in one go; if it refuses one,
+    # _walk reads them up to the first row bad on its own, and no later block
+    # is parsed. SparseTensor then names the first bad entry before that row.
+    skipped = []  # the numbers of the lines that are not records, in order
+    first = None  # records before the data rows: 1 after a header, None before the first record
+    columns = [[np.empty(0, dtype=np.int64)] * 3 + [np.empty(0)]]  # each block's i, j, k, values
+    fault = None
     try:
-        lines = (text.decode("utf-8") if isinstance(text, bytes) else text).split("\n")
-    except UnicodeDecodeError as exc:
-        lineno = text.count(b"\n", 0, exc.start) + 1
-        raise DataError(f"invalid UTF-8 at line {lineno}: {exc.reason}") from None
-    records = [row for row in map(str.strip, lines) if row and row[0] != "#"]
-    first = 0  # records before the data rows
-    try:
-        if records and records[0].split()[0] == "%dims":
-            n_nodes, n_slots = _dims(records[0], n_nodes, n_slots)
-            first = 1
+        for lines, before in blocks:
+            rows = [row for row in map(str.strip, lines) if row and row[0] != "#"]
+            if len(rows) < len(lines):
+                skipped += [n for n, row in enumerate(map(str.strip, lines), before + 1)
+                            if not row or row[0] == "#"]
+            if first is None and rows:
+                first = 0
+                if rows[0].split()[0] == "%dims":
+                    n_nodes, n_slots = _dims(rows.pop(0), n_nodes, n_slots)
+                    first = 1
+                if n_nodes is None or n_slots is None:
+                    break
+            if rows:  # loadtxt warns on no rows
+                try:
+                    read = np.loadtxt(rows, dtype="i8,i8,i8,f8", comments=None, ndmin=1,
+                                      unpack=True)
+                except ValueError:
+                    read, fault = _walk(rows, n_nodes, n_slots)
+                columns.append(read)
+                if fault:
+                    break
         if n_nodes is None or n_slots is None:
             raise DataError("tensor dimensions unknown: pass n_nodes/n_slots or add a %dims header")
-        rows, columns, fault = records[first:], None, None
-        if rows:  # loadtxt warns on no rows
-            try:
-                columns = np.loadtxt(rows, dtype="i8,i8,i8,f8", comments=None, ndmin=1, unpack=True)
-            except ValueError:
-                pass
-        if columns is None:
-            columns, fault = _walk(rows, n_nodes, n_slots)
+        columns = [np.concatenate(c) for c in zip(*columns)]  # and the blocks' arrays go
         tensor = SparseTensor(n_nodes, n_slots, *columns)
         if fault:
-            raise fault
+            raise _BadEntry(tensor.n_entries, fault)
         return tensor
     except _BadEntry as exc:
-        lineno = [n for n, row in enumerate(map(str.strip, lines), 1)
-                  if row and row[0] != "#"][first + exc.entry]
+        lineno = exc.entry + first + 1  # and one further for each line skipped up to it
+        for n in skipped:
+            lineno += n <= lineno
         raise DataError(exc.template.format(f"line {lineno}")) from None
 
 
@@ -198,10 +239,10 @@ def _dims(header: str, n_nodes, n_slots) -> tuple[int, int]:
     return hn, hk
 
 
-def _walk(rows: list[str], n_nodes: int, n_slots: int) -> tuple[list[np.ndarray], _BadEntry | None]:
+def _walk(rows: list[str], n_nodes: int, n_slots: int) -> tuple[list[np.ndarray], str | None]:
     """The i, j, k and value arrays of the rows before the first that is not
     4 fields int()/float() read with its indices in bounds, and that row's
-    _BadEntry (None if there is no such row)."""
+    _BadEntry template (None if there is no such row)."""
     n, K = min(n_nodes, MAX_DIM), min(n_slots, MAX_DIM)  # every index kept fits int64
     ii, jj, kk, vv = [], [], [], []
     fault = None
@@ -226,13 +267,13 @@ def _walk(rows: list[str], n_nodes: int, n_slots: int) -> tuple[list[np.ndarray]
         kk.append(k)
         vv.append(v)
     columns = [np.array(c, dtype=np.int64) for c in (ii, jj, kk)] + [np.array(vv, dtype=np.float64)]
-    return columns, fault and _BadEntry(len(vv), fault)
+    return columns, fault
 
 
 def save_coo(tensor: SparseTensor, dest) -> None:
-    """Write COO text with a `%dims` header. Values use repr so a reload
-    reproduces every double exactly. A path is written atomically: a
-    failed write leaves the previous file, or none, in place."""
+    """Write COO text with a `%dims` header, _WRITE_BLOCK lines a write; values
+    use repr so a reload reproduces every double exactly. A path is written
+    atomically: a failed write leaves the previous file, or none, in place."""
     if hasattr(dest, "write"):
         _save_coo_stream(tensor, dest)
     else:
@@ -246,11 +287,10 @@ def _save_coo_stream(tensor: SparseTensor, fh) -> None:
     for col in (tensor.i, tensor.j, tensor.k):  # str() each distinct index once
         distinct, where = np.unique(col, return_inverse=True)
         columns.append((np.array(list(map(str, distinct.tolist())), dtype=object), where))
-    block = 65536  # lines formatted per write, which bounds the text held at once
-    for lo in range(0, len(tensor.i), block):
+    for lo in range(0, len(tensor.i), _WRITE_BLOCK):
         fh.write("".join([f"{a} {b} {c} {v!r}\n" for a, b, c, v in zip(
-            *(text[where[lo:lo + block]].tolist() for text, where in columns),
-            tensor.values[lo:lo + block].tolist())]))
+            *(text[where[lo:lo + _WRITE_BLOCK]].tolist() for text, where in columns),
+            tensor.values[lo:lo + _WRITE_BLOCK].tolist())]))
 
 
 def split(tensor: SparseTensor, ratios, seed: int) -> DatasetSplit:

@@ -23,12 +23,13 @@ The chunk size is a constant, never derived from `threads` or the machine:
 the chunk grid fixes the summation order and so the bytes of the model.
 Its value, 8192 entries, came from a sweep of 4096/8192/16384 on a
 2000-node rank-20 tensor and a 2000-slot rank-10 one at 1 and 2 threads.
-Memory is one workspace per worker per epoch: four buffers of one chunk's
-rows (products and the S, U and z_hat row gathers), 1.3 MB each at rank
-20. A chunk gathers and multiplies in place there, and sums column by
-column, so a worker allocates no chunk-sized array and builds no keys;
-at most threads + 1 chunks' sums wait to be merged. The trained model is
-then written field by field, its arrays in blocks (`save_model`).
+Memory is one workspace per worker per epoch: two buffers of one chunk's
+rows, 1.3 MB each at rank 20. A chunk gathers each group's rows and their
+factor there anew (z_hat[k] three times, S[i] and U[j] twice), and the
+spent factor holds the weighted rows column by column. A worker allocates
+no chunk-sized array and builds no keys; at most threads + 1 chunks' sums
+wait to be merged. The trained model is then written field by field, its
+arrays in blocks (`save_model`).
 
 `train` and the tuner's `adapt_train` are steps of one epoch loop,
 `_run_epochs`, which records the scores, stops and builds the report.
@@ -115,25 +116,24 @@ class TrainReport:
 # DivergenceError, so the intermediate FP warnings are pure noise
 @np.errstate(over="ignore", invalid="ignore")
 def _chunk_sums(model, z_hat, e_hat, data, lo, hi, workspace):
-    ii = data.i[lo:hi]
-    jj = data.j[lo:hi]
-    kk = data.k[lo:hi]
-    x = data.values[lo:hi]
+    ii, jj, kk, x = (arr[lo:hi] for arr in (data.i, data.j, data.k, data.values))
     m = hi - lo
-    products, si, uj, zk = (buf[:m] for buf in workspace)
-    # "clip" writes straight into `out` ("raise" buffers it); it clips nothing,
-    # as _mu_terms checks that the tensor's sizes, which bound its indices, fit
-    for src, idx, out in ((model.S, ii, si), (model.U, jj, uj), (z_hat, kk, zk)):
-        np.take(src, idx, axis=0, out=out, mode="clip")
-    su = np.multiply(si, uj, out=products)
-    pred = predict_rows(su, zk, model.a[ii], model.c[jj], e_hat[kk])
-    uj *= zk  # the S rows
-    si *= zk  # the U rows
     rank = model.rank
-    columns = zk.reshape(rank, m)  # zk is spent: it holds the weighted rows, column by column
+    rows, other = (buf[:m] for buf in workspace)
+    # np.take "clip" writes straight into `out` ("raise" buffers it); it clips nothing,
+    # as _mu_terms checks that the tensor's sizes, which bound its indices, fit
+    np.take(model.S, ii, 0, rows, "clip")
+    rows *= np.take(model.U, jj, 0, other, "clip")  # the Z rows
+    pred = predict_rows(rows, np.take(z_hat, kk, 0, other, "clip"),
+                        model.a[ii], model.c[jj], e_hat[kk])
     sums = {}
-    for idx, rows, groups, group in ((ii, uj, model.n_nodes, "s"), (jj, si, model.n_nodes, "u"),
-                                     (kk, su, model.n_slots, "z")):
+    for idx, groups, group, factor in ((kk, model.n_slots, "z", None),
+                                       (ii, model.n_nodes, "s", (model.U, jj)),
+                                       (jj, model.n_nodes, "u", (model.S, ii))):
+        if factor:  # the S rows U[j] * z_hat[k], then the U rows S[i] * z_hat[k]
+            np.take(*factor, 0, rows, "clip")
+            rows *= np.take(z_hat, kk, 0, other, "clip")
+        columns = other.reshape(rank, m)  # `other` is spent: it holds the weighted rows
         for weight, kind in ((x, "num_"), (pred, "den_")):
             # out[g, d] = sum of weight[n] * rows[n, d] over the n with idx[n] == g,
             # in entry order; the last column sums weight[n] alone (the bias)
@@ -170,7 +170,7 @@ def _epoch_sums(model, z_hat, e_hat, data, threads):
     shape = (min(_CHUNK, data.n_entries), model.rank)
     free = queue.SimpleQueue()  # one workspace per chunk that can be in flight
     for _ in range(min(threads, len(bounds))):
-        free.put(tuple(np.empty(shape) for _ in range(4)))
+        free.put((np.empty(shape), np.empty(shape)))
 
     def run(bound):
         workspace = free.get()

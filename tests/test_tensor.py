@@ -1,5 +1,6 @@
 import io
 import re
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -335,6 +336,88 @@ def test_reader_raises_reference_error(doc, data):
     assert _outcome(_load, text, kw) == _outcome(_reference_load, text, kw)
 
 
+@pytest.mark.parametrize("block", [1, 7])
+def test_reader_reference_tests_hold_at_tiny_read_blocks(monkeypatch, block):
+    # every line crosses a read block's boundary, most of them several
+    monkeypatch.setattr(dyntf.tensor, "_READ_BLOCK", block)
+    test_reader_matches_line_reference()
+    test_reader_raises_reference_error()
+
+
+@pytest.mark.parametrize("data, expected", [
+    # "\r" ends the 12-byte read block, "\n" starts the next
+    (b"%dims 2 2 1\r\n0 0 0 1.0\r\n1 1 0 -2.0\r\n", "negative value at line 3"),
+    (b"%dims 2 2 1\n0 0 0 1.0\n1 1 0 2.0", None),  # no newline after the last line
+    (b"%dims 2 2 1\n0 0 0 1.0\n1 1 0 -2.0", "negative value at line 3"),
+    # the first 12-byte block holds comments alone; the header is record 0 all the same
+    (b"# 9 bytes\n#\n%dims 2 2 1\n0 0 0 1.0\n", None),
+    (b"# 9 bytes\n#\n%dims 2 2\n0 0 0 1.0\n", "malformed line 3: expected '%dims N N K'"),
+    (b"%dims 3 3 2\n0 1 0 1.5\n1 2 1 \xff2.0\n2 0 1 0.5\n", "invalid UTF-8 at line 3: invalid start byte"),
+    # a bad line in an earlier block, even one that stops the parse, does not
+    # hide invalid UTF-8 in a later one
+    (b"%dims 3 3 2\n0 1 0 xyz\n" + b"# pad\n" * 9 + b"1 2 1 \xff2.0\n",
+     "invalid UTF-8 at line 12: invalid start byte"),
+    (b"# caf\xc3\xa9\n%dims 2 2 1\n0 0 0 1.0\n", None),  # a boundary inside "\xc3\xa9"
+    (b"%dims 2 2 1\n0 0 0 1.0\n1 1 0 2.0\n# pad\n0 0 0 3.0\n", r"duplicate \(0, 0, 0\) at line 5"),
+    # numpy reads line 2 in its block; the walk stops at line 5 in a later one
+    (b"%dims 2 2 1\n0 0 5 1.0\n1 1 0 2.0\n\n0 1 0 xyz\n", "slot index out of bounds at line 2: 5 with K=1"),
+])
+def test_reader_across_read_blocks(monkeypatch, data, expected):
+    for block in (1, 2, 5, 12, 1 << 20):
+        monkeypatch.setattr(dyntf.tensor, "_READ_BLOCK", block)
+        if expected is None:
+            t = load_coo(io.BytesIO(data))
+            assert _outcome(lambda _: t, None, {}) == _outcome(_reference_load, data.decode(), {})
+        else:
+            with pytest.raises(DataError, match=f"^{expected}$"):
+                load_coo(io.BytesIO(data))
+
+
+@pytest.fixture(scope="module")
+def wide_coo(tmp_path_factory):
+    """A wide-shaped COO file: N=2000, K=50, 150 000 entries (4.5 MB)."""
+    rng = np.random.default_rng(20)
+    pos = rng.choice(2000 * 2000 * 50, size=150_000, replace=False)
+    path = tmp_path_factory.mktemp("wide") / "wide.coo"
+    path.write_text("%dims 2000 2000 50\n" + "".join(
+        f"{a} {b} {c} {v!r}\n" for a, b, c, v in zip(
+            (pos // 100_000).tolist(), (pos // 50 % 2000).tolist(), (pos % 50).tolist(),
+            rng.uniform(0, 3, 150_000).tolist())))
+    return path
+
+
+def _traced_peak(fn, *args):
+    tracemalloc.start()
+    try:
+        result = fn(*args)
+        return tracemalloc.get_traced_memory()[1], result
+    finally:
+        tracemalloc.stop()
+
+
+def test_reader_holds_about_one_block_of_text(wide_coo):
+    # reading the whole file as lines peaked at 33.3 MB; block by block, the
+    # columns, the tensor's copy of them and its checks set the peak (13-15 MB)
+    peak, t = _traced_peak(load_coo, wide_coo)
+    assert t.n_entries == 150_000
+    assert peak <= 20e6
+
+
+def test_writer_holds_a_few_write_blocks(wide_coo, tmp_path):
+    # 65536 lines a write peaked at 12.2 MB on this part, 8192 at about 6.3 MB
+    part = load_coo(wide_coo).take(np.arange(105_000))
+    peak, _ = _traced_peak(save_coo, part, tmp_path / "part.coo")
+    assert peak <= 7.5e6
+
+
+def test_split_holds_each_part_once(wide_coo):
+    # copying each part again after indexing it peaked at 10.4-11.2 MB
+    # (2.2-2.3 times the parts' 4.8 MB), keeping the indexed arrays at 7.1-7.8 MB
+    t = load_coo(wide_coo)
+    peak, _ = _traced_peak(split, t, (7, 1, 2), 1)
+    assert peak <= 1.9 * 150_000 * 32
+
+
 @settings(max_examples=100, deadline=None)
 @given(st.lists(_DOUBLES, min_size=1, max_size=30))
 @example([0.0, 5e-324, 1.7976931348623157e308])
@@ -375,7 +458,7 @@ def test_writer_matches_per_row_reference(dims, entries):
 
 
 def test_writer_matches_reference_across_write_blocks():
-    # the writer formats 65536 lines at a time: two full blocks, one short
+    # the writer formats _WRITE_BLOCK (8192) lines at a time: 16 full blocks, one short
     n = 2 * 65536 + 3
     ii, rest = np.divmod(np.arange(n) * 7919 % (1000 * 1000 * 200), 1000 * 200)
     jj, kk = np.divmod(rest, 200)
@@ -415,6 +498,8 @@ def test_dimensions_must_be_integers():
             SparseTensor(n_nodes, n_slots, [1], [1], [0], [1.0])
         with pytest.raises(TypeError):
             _load("1 1 0 1.0\n", n_nodes=n_nodes, n_slots=n_slots)
+        with pytest.raises(TypeError):  # a header that agrees does not make a float pass
+            _load("%dims 2 2 1\n1 1 0 1.0\n", n_nodes=n_nodes, n_slots=n_slots)
     t = SparseTensor(np.int64(2), np.int64(1), [1], [1], [0], [1.0])
     assert (type(t.n_nodes), type(t.n_slots)) == (int, int)
 
