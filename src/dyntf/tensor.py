@@ -44,7 +44,7 @@ class SparseTensor:
         self._keep(n_nodes, n_slots, *(np.array(a, dtype=np.int64) for a in (i, j, k)),
                    np.array(values, dtype=np.float64))
 
-    def _keep(self, n_nodes, n_slots, i, j, k, values) -> None:  # arrays nothing else holds
+    def _keep(self, n_nodes, n_slots, i, j, k, values) -> None:  # arrays no one else holds
         self.n_nodes = operator.index(n_nodes)  # 2.9 fails here, not truncated to 2
         self.n_slots = operator.index(n_slots)
         if not (1 <= self.n_nodes <= MAX_DIM and 1 <= self.n_slots <= MAX_DIM):
@@ -209,13 +209,13 @@ def _parse_blocks(blocks, n_nodes, n_slots) -> SparseTensor:
                     break
         if n_nodes is None or n_slots is None:
             raise DataError("tensor dimensions unknown: pass n_nodes/n_slots or add a %dims header")
-        columns = [np.concatenate(c) for c in zip(*columns)]  # and the blocks' arrays go
+        columns = [np.concatenate(c) for c in zip(*columns)]  # frees the blocks' arrays
         tensor = SparseTensor(n_nodes, n_slots, *columns)
         if fault:
             raise _BadEntry(tensor.n_entries, fault)
         return tensor
     except _BadEntry as exc:
-        lineno = exc.entry + first + 1  # and one further for each line skipped up to it
+        lineno = exc.entry + first + 1  # its line if no line before it were skipped
         for n in skipped:
             lineno += n <= lineno
         raise DataError(exc.template.format(f"line {lineno}")) from None
