@@ -221,8 +221,6 @@ def compute_temporal(model: FactorModel) -> tuple[np.ndarray, np.ndarray]:
 def predict_entries(model: FactorModel, ii: np.ndarray, jj: np.ndarray,
                     kk: np.ndarray) -> np.ndarray:
     """Predictions for parallel index arrays (ii, jj, kk); each call mixes W.
-    Blocks of _BLOCK entries fill one output array, so the gathers held at once
-    are one block's; each prediction reads its own entry alone: no byte changes.
     Raises ValueError for arrays of unequal length and IndexError naming the
     first entry with an index out of range (negative ones included)."""
     ii, jj, kk = np.asarray(ii), np.asarray(jj), np.asarray(kk)
@@ -235,11 +233,26 @@ def predict_entries(model: FactorModel, ii: np.ndarray, jj: np.ndarray,
         if not (0 <= i < n and 0 <= j < n):
             raise IndexError(f"node index out of range: ({i}, {j}) with N={n}")
         raise IndexError(f"slot index out of range: {k} with K={n_slots}")
-    z_hat, e_hat = compute_temporal(model)
+    return _predict_blocks(model, *compute_temporal(model), ii, jj, kk)
+
+
+def _predict_blocks(model: FactorModel, z_hat: np.ndarray, e_hat: np.ndarray,
+                    ii: np.ndarray, jj: np.ndarray, kk: np.ndarray) -> np.ndarray:
+    """predict_rows for in-range indices, _BLOCK entries at a time: the rows
+    are gathered into two (block, rank) buffers that every block reuses, and
+    each prediction reads its own entry alone, so no byte depends on the
+    block size."""
     out = np.empty(len(ii))
+    shape = (min(_BLOCK, len(ii)), model.rank)
+    su, zk = np.empty(shape), np.empty(shape)
     for lo in range(0, len(ii), _BLOCK):
         i, j, k = (idx[lo:lo + _BLOCK] for idx in (ii, jj, kk))
-        out[lo:lo + _BLOCK] = predict_rows(model.S[i] * model.U[j], z_hat[k],
+        rows, other = su[:len(i)], zk[:len(i)]
+        # np.take "clip" writes straight into `out` ("raise" buffers it); the
+        # callers have checked the indices, so it clips nothing
+        np.take(model.S, i, 0, rows, "clip")
+        rows *= np.take(model.U, j, 0, other, "clip")
+        out[lo:lo + _BLOCK] = predict_rows(rows, np.take(z_hat, k, 0, other, "clip"),
                                            model.a[i], model.c[j], e_hat[k])
     return out
 

@@ -13,22 +13,18 @@ keep their value. `_mu_terms` computes every numerator and denominator;
 `analytic_gradient` is den - num of those same terms, so a finite-
 difference check of it checks the code that trains.
 
-The accumulation is a reduction over observed entries. `_epoch_sums` cuts
-them into fixed-size chunks (an empty set is one empty chunk) and adds the
-chunks' sums up in chunk order, so the result is bit-identical whether
-chunks run on one thread or several. `_ordered_map`, the one place dyntf
-starts threads (the tuner's swarm uses it too), runs them on a pool
-whenever threads > 1; `threads` only sets how many are in flight.
-The chunk size is a constant, never derived from `threads` or the machine:
-the chunk grid fixes the summation order and so the bytes of the model.
-Its value, 8192 entries, came from a sweep of 4096/8192/16384 on a
-2000-node rank-20 tensor and a 2000-slot rank-10 one at 1 and 2 threads.
-Memory is one workspace per worker per epoch: two buffers of one chunk's
-rows, 1.3 MB each at rank 20. A chunk gathers each group's rows and their
-factor there anew (z_hat[k] three times, S[i] and U[j] twice), and the
-spent factor holds the weighted rows column by column. A worker allocates
-no chunk-sized array and builds no keys; at most threads + 1 chunks' sums
-wait to be merged. The trained model is then written field by field, its
+The accumulation is a reduction over observed entries. `_epoch_sums`
+predicts every entry once, then sums one latent column at a time: one
+`np.bincount` per column, group and weight adds the entries into their
+rows in entry order, as an unchunked `np.add.at` does, so the sums need
+no chunk grid or merge to fix their order and equal that reference bit
+for bit. The columns 0 .. rank (the last sums the biases) are cut into at
+most `threads` runs, which `_ordered_map`, the one place dyntf starts
+threads (the tuner's swarm uses it too), runs on a pool of at most
+rank + 1 workers; since one worker sums a whole column, the thread count
+changes no byte. A worker holds two buffers of one float per entry (16 B
+an entry, once per epoch) and writes its rows of the six (rank + 1,
+groups) totals. The trained model is then written field by field, its
 arrays in blocks (`save_model`).
 
 `train` and the tuner's `adapt_train` are steps of one epoch loop,
@@ -40,7 +36,6 @@ whose (K, 0) band makes that update a no-op.
 from __future__ import annotations
 
 import operator
-import queue
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -49,10 +44,9 @@ import numpy as np
 
 from .errors import DivergenceError
 from .metrics import convergence_rounds, mae, rmse
-from .model import (FactorModel, HyperParams, compute_temporal, predict_entries,
-                    predict_rows)
+from .model import (FactorModel, HyperParams, _predict_blocks, compute_temporal,
+                    predict_entries)
 
-_CHUNK = 8192
 DENOM_FLOOR = 1e-12  # smallest denominator a multiplicative step divides by
 
 
@@ -112,39 +106,6 @@ class TrainReport:
         return doc
 
 
-# divergence shows up as inf/nan accumulators and is reported through
-# DivergenceError, so the intermediate FP warnings are pure noise
-@np.errstate(over="ignore", invalid="ignore")
-def _chunk_sums(model, z_hat, e_hat, data, lo, hi, workspace):
-    ii, jj, kk, x = (arr[lo:hi] for arr in (data.i, data.j, data.k, data.values))
-    m = hi - lo
-    rank = model.rank
-    rows, other = (buf[:m] for buf in workspace)
-    # np.take "clip" writes straight into `out` ("raise" buffers it); it clips nothing,
-    # as _mu_terms checks that the tensor's sizes, which bound its indices, fit
-    np.take(model.S, ii, 0, rows, "clip")
-    rows *= np.take(model.U, jj, 0, other, "clip")  # the Z rows
-    pred = predict_rows(rows, np.take(z_hat, kk, 0, other, "clip"),
-                        model.a[ii], model.c[jj], e_hat[kk])
-    sums = {}
-    for idx, groups, group, factor in ((kk, model.n_slots, "z", None),
-                                       (ii, model.n_nodes, "s", (model.U, jj)),
-                                       (jj, model.n_nodes, "u", (model.S, ii))):
-        if factor:  # the S rows U[j] * z_hat[k], then the U rows S[i] * z_hat[k]
-            np.take(*factor, 0, rows, "clip")
-            rows *= np.take(z_hat, kk, 0, other, "clip")
-        columns = other.reshape(rank, m)  # `other` is spent: it holds the weighted rows
-        for weight, kind in ((x, "num_"), (pred, "den_")):
-            # out[g, d] = sum of weight[n] * rows[n, d] over the n with idx[n] == g,
-            # in entry order; the last column sums weight[n] alone (the bias)
-            out = sums[kind + group] = np.empty((groups, rank + 1))
-            np.multiply(weight, rows.T, out=columns)
-            for d in range(rank):
-                out[:, d] = np.bincount(idx, weights=columns[d], minlength=groups)
-            out[:, rank] = np.bincount(idx, weights=weight, minlength=groups)
-    return sums
-
-
 def _ordered_map(fn, items, threads):
     """Yield fn(item) for every item, in item order; the calls run on a pool
     of `threads` workers whenever threads > 1. At most threads + 1 results
@@ -163,31 +124,41 @@ def _ordered_map(fn, items, threads):
         yield from map(fn, items)
 
 
+# divergence shows up as inf/nan accumulators and is reported through
+# DivergenceError, so the intermediate FP warnings are pure noise
+@np.errstate(over="ignore", invalid="ignore")
 def _epoch_sums(model, z_hat, e_hat, data, threads):
-    # an empty set is one empty chunk, whose sums are zeros
-    bounds = [(lo, min(lo + _CHUNK, data.n_entries))
-              for lo in range(0, max(data.n_entries, 1), _CHUNK)]
-    shape = (min(_CHUNK, data.n_entries), model.rank)
-    free = queue.SimpleQueue()  # one workspace per chunk that can be in flight
-    for _ in range(min(threads, len(bounds))):
-        free.put((np.empty(shape), np.empty(shape)))
+    ii, jj, kk, x = data.i, data.j, data.k, data.values
+    rank = model.rank
+    pred = _predict_blocks(model, z_hat, e_hat, ii, jj, kk)
+    # each group's index, size and the two factors whose product are its rows:
+    # U[j] * z_hat[k] for S, S[i] * z_hat[k] for U, S[i] * U[j] for Z
+    groups = {"s": (ii, model.n_nodes, (model.U, jj), (z_hat, kk)),
+              "u": (jj, model.n_nodes, (model.S, ii), (z_hat, kk)),
+              "z": (kk, model.n_slots, (model.S, ii), (model.U, jj))}
+    # total[d, g] = sum of weight[n] * rows[n, d] over the n with idx[n] == g, in
+    # entry order; row `rank` sums weight[n] alone (the bias)
+    totals = {kind + group: np.empty((rank + 1, size))
+              for group, (_, size, *_) in groups.items() for kind in ("num_", "den_")}
 
-    def run(bound):
-        workspace = free.get()
-        try:
-            return _chunk_sums(model, z_hat, e_hat, data, *bound, workspace)
-        finally:
-            free.put(workspace)
+    def run(columns):
+        rows, weighted = np.empty(len(x)), np.empty(len(x))
+        for d in columns:
+            for group, (idx, size, (f, fi), (g, gi)) in groups.items():
+                if d < rank:
+                    # "clip" writes into `out` ("raise" buffers it); it clips nothing,
+                    # as _mu_terms checks that the tensor fits the model
+                    np.take(f[:, d], fi, out=rows, mode="clip")
+                    rows *= np.take(g[:, d], gi, out=weighted, mode="clip")
+                for weight, kind in ((x, "num_"), (pred, "den_")):
+                    if d < rank:  # the bias column sums the weight alone
+                        weight = np.multiply(weight, rows, out=weighted)
+                    totals[kind + group][d] = np.bincount(idx, weights=weight, minlength=size)
 
-    # each chunk's sums are added into the first chunk's arrays in chunk order,
-    # so the totals do not depend on which thread ran which chunk
-    parts = _ordered_map(run, bounds, threads)
-    total = next(parts)
-    for part in parts:
-        for key, arr in total.items():
-            arr += part[key]
-        del part  # not held while the next chunk is awaited
-    return total
+    # each column is one worker's, so no sum depends on the thread count
+    runs = np.array_split(np.arange(rank + 1), min(threads, rank + 1))
+    list(_ordered_map(run, runs, len(runs)))  # each run writes its rows of the totals
+    return {key: total.T for key, total in totals.items()}
 
 
 def _ensure_finite(what: str, arr: np.ndarray) -> None:

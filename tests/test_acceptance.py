@@ -219,11 +219,10 @@ def test_criterion_7_dea_closure_and_monotonicity():
                f"({tau_hs[0]:.4f} -> {tau_hs[-1]:.4f})")
 
 
-def test_criterion_8_determinism(tmp_path, monkeypatch):
+def test_criterion_8_determinism(tmp_path):
     """Single-thread reruns and a 4-thread run write identical bytes."""
-    # the fixture's ~1750 training entries would fit one chunk; a small
-    # chunk makes the 4-thread run really spread over the pool
-    monkeypatch.setattr(dyntf.trainer, "_CHUNK", 256)
+    # at rank 2 the 4-thread run spreads the epoch's 3 columns (two latent,
+    # one bias) over the pool, one column a worker
     sp, _ = _fixture()
     save_coo(sp.train, tmp_path / "tr.coo")
     save_coo(sp.validation, tmp_path / "va.coo")

@@ -44,8 +44,6 @@ def test_wrapped_train_records_spans(tmp_path, monkeypatch):
     for owner_path, attr, _ in spans.TARGETS:
         owner = _owner(owner_path)
         monkeypatch.setattr(owner, attr, getattr(owner, attr))  # restored at teardown
-    # small chunks, so the fixed run's epochs really go through the pool
-    monkeypatch.setattr(dyntf.trainer, "_CHUNK", 64)
     recorder = spans.Recorder("test")
     assert spans.install(recorder) == []
 

@@ -1,6 +1,5 @@
 import json
 import tracemalloc
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -13,7 +12,6 @@ from dyntf import (DivergenceError, FactorModel, HyperParams, SparseTensor,
                    TemporalWeights, TrainConfig, analytic_gradient, band_indices,
                    compute_temporal, generate_synthetic, init_positive, model_to_dict,
                    nmu_epoch, objective, predict_entries, train)
-from dyntf.model import predict_rows
 
 
 def _single_entry_model(value=2.0):
@@ -112,8 +110,8 @@ class TestNmuEpoch:
         with pytest.raises(DivergenceError, match=r"^epoch 1: non-finite .* diverged"):
             train(m, data, data, HyperParams(0.0, 0.0), TrainConfig(max_epochs=3))
 
-    def test_thread_count_does_not_change_results(self, monkeypatch, fixture_split):
-        monkeypatch.setattr(dyntf.trainer, "_CHUNK", 64)
+    def test_thread_count_does_not_change_results(self, fixture_split):
+        # rank 2: three threads run one column each
         hp = HyperParams(0.01, 0.01)
         results = []
         for threads in (1, 3):
@@ -148,72 +146,39 @@ def _reference_sums(model, data):
     return out
 
 
-@np.errstate(over="ignore", invalid="ignore")
-def _allocating_chunk_sums(model, z_hat, e_hat, data, lo, hi):
-    """The chunk accumulator as it was before it wrote into a workspace:
-    every temporary is a fresh array, and each row sum is one flat bincount
-    over (index, column) keys. The in-place version sums the same products
-    into each cell in the same entry order, so its sums must be bit-equal
-    to these."""
-    ii = data.i[lo:hi]
-    jj = data.j[lo:hi]
-    kk = data.k[lo:hi]
-    x = data.values[lo:hi]
-    si = model.S[ii]
-    uj = model.U[jj]
-    zk = z_hat[kk]
-    su = si * uj
-    pred = predict_rows(su, zk, model.a[ii], model.c[jj], e_hat[kk])
-    n, k, rank = model.n_nodes, model.n_slots, model.rank
-    sums = {}
-    for idx, rows, groups, group in ((ii, uj * zk, n, "s"), (jj, si * zk, n, "u"),
-                                     (kk, su, k, "z")):
-        keys = (idx[:, None] * rank + np.arange(rank)).ravel()
-        for weight, kind in ((x, "num_"), (pred, "den_")):
-            sums[kind + group] = np.column_stack((
-                np.bincount(keys, weights=(weight[:, None] * rows).ravel(),
-                            minlength=groups * rank).reshape(groups, rank),
-                np.bincount(idx, weights=weight, minlength=groups)))
-    return sums
-
-
-_CHUNK = dyntf.trainer._CHUNK
+_BLOCK = dyntf.model._BLOCK
 
 
 class TestEpochSums:
     @settings(max_examples=25, deadline=None)
     @given(rank=st.integers(1, 24),
-           n_entries=st.sampled_from([1, _CHUNK - 1, _CHUNK, _CHUNK + 1, 3 * _CHUNK + 457]),
+           n_entries=st.sampled_from([1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 3 * _BLOCK + 457]),
            window=st.sampled_from([0, 4]), threads=st.sampled_from([1, 2, 8]),
            seed=st.integers(0, 2**16))
-    @example(rank=20, n_entries=3 * _CHUNK + 457, window=4, threads=8, seed=0)
-    @example(rank=1, n_entries=_CHUNK + 1, window=0, threads=2, seed=1)
+    @example(rank=20, n_entries=3 * _BLOCK + 457, window=4, threads=8, seed=0)
+    @example(rank=1, n_entries=_BLOCK + 1, window=0, threads=2, seed=1)
     def test_workspace_sums_equal_allocating_oracle(self, rank, n_entries, window, threads,
                                                     seed):
-        # threads 8 is more workers than any of these inputs has chunks
+        # every cell is one bincount over all entries in entry order, as
+        # np.add.at sums them, so the sums equal the unchunked reference
+        # exactly at any thread count; threads 8 is more workers than rank 1
+        # has columns
         data = _random_tensor(80, 30, n_entries, seed=seed)
         model = init_positive(80, 30, rank, window, seed=seed)
-        z_hat, e_hat = compute_temporal(model)
-        sums = dyntf.trainer._epoch_sums(model, z_hat, e_hat, data, threads)
-        parts = [_allocating_chunk_sums(model, z_hat, e_hat, data, lo, min(lo + _CHUNK, n_entries))
-                 for lo in range(0, n_entries, _CHUNK)]
-        # the chunks' sums added up in chunk order
-        oracle = {name: sum((part[name] for part in parts[1:]), parts[0][name])
-                  for name in parts[0]}
-        assert sums.keys() == oracle.keys()
-        for name, expected in oracle.items():
+        sums = dyntf.trainer._epoch_sums(model, *compute_temporal(model), data, threads)
+        ref = _reference_sums(model, data)
+        assert sums.keys() == ref.keys()
+        for name, expected in ref.items():
             assert sums[name].tobytes() == expected.tobytes(), name
 
     @pytest.mark.parametrize("threads, buffers", [(1, 5), (2, 8.5)])
     def test_peak_allocation_is_a_few_chunk_buffers(self, threads, buffers):
-        # Wide's shape at rank 20, over 5 chunks. Allocating every temporary
-        # afresh peaked at 11.3 chunk buffers at 1 thread and 20.5 at 2; one
-        # five-buffer workspace per worker (products, keys and the row
-        # gathers) held it to 8.3 and 14.3. Summing column by column needs no
-        # keys, and the merge no longer holds a chunk's sums while it awaits
-        # the next: about 6.2 and 11.3-11.9. A two-buffer workspace that
-        # gathers each group's rows again: about 4.2 and 7.2-7.4.
-        data = _random_tensor(2000, 50, 5 * _CHUNK + 123, seed=5)
+        # Wide's shape at rank 20 over 5 * 8192 + 123 entries, in units of an
+        # (8192, 20) buffer. The chunked accumulator this replaced peaked at
+        # 4.2 buffers at 1 thread and 7.2-7.4 at 2; summing whole columns holds
+        # the six (21, N) totals, two length-n buffers a worker and the
+        # predictions.
+        data = _random_tensor(2000, 50, 5 * 8192 + 123, seed=5)
         model = init_positive(2000, 50, 20, 0, seed=1)
         z_hat, e_hat = compute_temporal(model)
         tracemalloc.start()
@@ -222,42 +187,63 @@ class TestEpochSums:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < buffers * _CHUNK * 20 * 8
+        assert peak < buffers * 8192 * 20 * 8
 
-    def test_chunk_allocates_about_one_chunk_buffer(self):
-        # With the workspace prepared, a chunk's only sizeable allocations are
-        # its sums (about 1 buffer at N=2000); gathering into fresh arrays
-        # peaked at 4.23 chunk buffers.
-        data = _random_tensor(2000, 50, _CHUNK, seed=5)
-        model = init_positive(2000, 50, 20, 0, seed=1)
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_peak_is_about_the_totals_at_many_nodes(self, threads):
+        # many nodes, few entries: the peak is set by the six totals, not by
+        # a copy of them per chunk (the chunked accumulator peaked at 2.07x
+        # their bytes at 1 thread and 3.14x at 2; whole columns, 1.08x and 1.15x)
+        n, k, rank = 200_000, 5, 4
+        data = _random_tensor(n, k, 3 * 8192 + 1, seed=2)
+        model = init_positive(n, k, rank, 2, seed=3)
         z_hat, e_hat = compute_temporal(model)
-        workspace = tuple(np.empty((_CHUNK, 20)) for _ in range(2))
         tracemalloc.start()
         try:
-            dyntf.trainer._chunk_sums(model, z_hat, e_hat, data, 0, _CHUNK, workspace)
+            dyntf.trainer._epoch_sums(model, z_hat, e_hat, data, threads)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 1.5 * _CHUNK * 20 * 8
+        assert peak < 1.25 * (4 * n + 2 * k) * (rank + 1) * 8
 
-    @pytest.mark.parametrize("chunk, n_entries", [
-        (1, 301), (7, 301), (dyntf.trainer._CHUNK, 2 * dyntf.trainer._CHUNK + 123),
-        (302, 301)])
+    @pytest.mark.parametrize("block, n_entries", [(1, 301), (7, 301), (_BLOCK, 2 * _BLOCK + 123),
+                                                  (302, 301)])
     @pytest.mark.parametrize("threads", [1, 2])
-    def test_matches_unchunked_reference(self, monkeypatch, chunk, n_entries, threads):
+    def test_matches_unchunked_reference(self, monkeypatch, block, n_entries, threads):
+        # the predictions come in blocks through two reused buffers; no sum
+        # may depend on the block size
         data = _random_tensor(60, 20, n_entries, seed=n_entries)
         model = init_positive(60, 20, 3, 4, seed=8)
-        monkeypatch.setattr(dyntf.trainer, "_CHUNK", chunk)
+        monkeypatch.setattr(dyntf.model, "_BLOCK", block)
         sums = dyntf.trainer._epoch_sums(model, *compute_temporal(model), data, threads)
         ref = _reference_sums(model, data)
         assert sums.keys() == ref.keys()
         for name, expected in ref.items():
-            np.testing.assert_allclose(sums[name], expected, rtol=1e-12, atol=0, err_msg=name)
+            assert sums[name].tobytes() == expected.tobytes(), name
+
+    def test_runs_are_capped_by_the_columns(self, monkeypatch):
+        # rank 2 has 3 columns (two latent, one bias): 64 threads hand over at
+        # most 3 runs and start at most 3 workers
+        handed = []
+        ordered_map = dyntf.trainer._ordered_map
+
+        def record(fn, items, threads):
+            items = list(items)
+            handed.append((items, threads))
+            return ordered_map(fn, items, threads)
+
+        monkeypatch.setattr(dyntf.trainer, "_ordered_map", record)
+        data = _random_tensor(30, 10, 500, seed=1)
+        nmu_epoch(init_positive(30, 10, 2, 3, seed=1), data, HyperParams(0.01, 0.01), threads=64)
+        [(runs, workers)] = handed
+        assert 1 <= len(runs) <= 3 and workers <= 3
+        assert all(len(run) > 0 for run in runs)
+        assert sorted(np.concatenate(runs).tolist()) == [0, 1, 2]
 
     def test_real_chunk_grid_thread_count_does_not_change_model_bytes(self):
-        # more than three real chunks, the last one short, so the pool runs
-        n_entries = 3 * dyntf.trainer._CHUNK + 457
-        data = _random_tensor(80, 30, n_entries, seed=3)
+        # more than three prediction blocks, the last one short, and rank 4:
+        # two threads share its five columns
+        data = _random_tensor(80, 30, 25_033, seed=3)
         validation = _random_tensor(80, 30, 50, seed=4)
         docs = []
         for threads in (1, 2):
@@ -317,15 +303,14 @@ class TestMuInvariants:
             assert np.array_equal(after[name][untouched], before[name][untouched]), name
 
     @settings(max_examples=60, deadline=None)
-    @given(_mu_cases(), st.integers(1, 4))
-    def test_thread_count_does_not_change_bytes(self, case, chunk):
+    @given(_mu_cases())
+    def test_thread_count_does_not_change_bytes(self, case):
         model, data, hp = case
         results = []
-        with mock.patch.object(dyntf.trainer, "_CHUNK", chunk):
-            for threads in (1, 3):
-                m = model.copy()
-                nmu_epoch(m, data, hp, threads=threads)
-                results.append(b"".join(arr.tobytes() for arr in _params(m).values()))
+        for threads in (1, 3):
+            m = model.copy()
+            nmu_epoch(m, data, hp, threads=threads)
+            results.append(b"".join(arr.tobytes() for arr in _params(m).values()))
         assert results[0] == results[1]
 
 
@@ -488,7 +473,7 @@ class TestAnalyticGradient:
 
     @pytest.mark.parametrize("n_nodes, n_slots", [(4, 2), (3, 3)])
     def test_tensor_larger_than_model_rejected_before_any_gather(self, n_nodes, n_slots):
-        # the chunk gathers clip their indices, so an entry past the model's
+        # the epoch's gathers clip their indices, so an entry past the model's
         # rows must be refused before it could train on the wrong row; an
         # empty tensor of the same size is refused alike
         m = init_positive(3, 2, 2, 1, seed=0)
