@@ -19,10 +19,11 @@ pins W to the identity and reduces the model to a plain biased
 factorization.
 
 W is stored as its band, a (K, window) array with band[k, m - 1] =
-w[k, k - m]; the unit diagonal and the zeros are implied. Contractions
-with W run lag by lag in O(K * window * D); `TemporalWeights.w` builds a
-read-only dense copy on demand. Each function that needs z_hat and e_hat
-mixes them itself (`compute_temporal`), so no caller hands a mix in.
+w[k, k - m]; the unit diagonal and the zeros are implied. Two loops own
+the lag-by-lag contractions with W, each O(K * window * D):
+`compute_temporal` mixes W @ [Z | e] and the trainer's `_mu_terms` carries
+its slot sums back through W.T, so no caller hands a mix in.
+`TemporalWeights.w` builds a read-only dense copy on demand.
 """
 
 from __future__ import annotations
@@ -61,17 +62,6 @@ class TemporalWeights:
         w[ks, ls] = self.band[ks, ks - ls - 1]
         w.flags.writeable = False
         return w
-
-    def mix(self, x: np.ndarray, transpose: bool = False) -> np.ndarray:
-        """W @ x (or W.T @ x) for x with K rows, one lag at a time."""
-        out = x.copy()
-        for m in range(1, self.window + 1):
-            lag = self.band[m:, m - 1].reshape((-1,) + (1,) * (x.ndim - 1))
-            if transpose:
-                out[:-m] += lag * x[m:]
-            else:
-                out[m:] += lag * x[:-m]
-        return out
 
     def validate(self) -> None:
         band, window = self.band, self.window
@@ -214,7 +204,10 @@ def check_memory(n_nodes: int, n_slots: int, rank: int, window: int,
 def compute_temporal(model: FactorModel) -> tuple[np.ndarray, np.ndarray]:
     """Contract W against Z and e: returns (z_hat, e_hat) with z_hat[k] =
     sum_{l<=k} w[k,l] Z[l] (K x D) and e_hat[k] = sum_{l<=k} w[k,l] e[l]."""
-    mixed = model.weights.mix(np.column_stack((model.Z, model.e)))
+    ze = np.column_stack((model.Z, model.e))
+    mixed = ze.copy()
+    for m in range(1, model.window + 1):  # lag m adds w[k, k - m] * ze[k - m]
+        mixed[m:] += model.weights.band[m:, m - 1, None] * ze[:-m]
     return mixed[:, :-1], mixed[:, -1]
 
 
@@ -238,7 +231,7 @@ def predict_entries(model: FactorModel, ii: np.ndarray, jj: np.ndarray,
 
 def _predict_blocks(model: FactorModel, z_hat: np.ndarray, e_hat: np.ndarray,
                     ii: np.ndarray, jj: np.ndarray, kk: np.ndarray) -> np.ndarray:
-    """predict_rows for in-range indices, _BLOCK entries at a time: the rows
+    """Predictions for in-range indices, _BLOCK entries at a time: the rows
     are gathered into two (block, rank) buffers that every block reuses, and
     each prediction reads its own entry alone, so no byte depends on the
     block size."""
@@ -252,16 +245,9 @@ def _predict_blocks(model: FactorModel, z_hat: np.ndarray, e_hat: np.ndarray,
         # callers have checked the indices, so it clips nothing
         np.take(model.S, i, 0, rows, "clip")
         rows *= np.take(model.U, j, 0, other, "clip")
-        out[lo:lo + _BLOCK] = predict_rows(rows, np.take(z_hat, k, 0, other, "clip"),
-                                           model.a[i], model.c[j], e_hat[k])
+        out[lo:lo + _BLOCK] = (np.einsum("nd,nd->n", rows, np.take(z_hat, k, 0, other, "clip"))
+                               + model.a[i] + model.c[j] + e_hat[k])
     return out
-
-
-def predict_rows(su: np.ndarray, zk: np.ndarray, ai: np.ndarray, cj: np.ndarray,
-                 ek: np.ndarray) -> np.ndarray:
-    """Predictions from gathered rows: su = S[i] * U[j], zk = z_hat[k] and
-    the biases a[i], c[j], e_hat[k] of each entry."""
-    return np.einsum("nd,nd->n", su, zk) + ai + cj + ek
 
 
 def predict(model: FactorModel, i: int, j: int, k: int) -> float:
@@ -277,13 +263,13 @@ def objective(model: FactorModel, entries, hp: HyperParams) -> float:
                        + lam_b * (a[i]^2 + c[j]^2 + e_hat[k]^2))
 
     The regularization sum runs over observed entries, so a parameter is
-    penalized once per entry that touches it. W is mixed once, for both
-    the predictions and the z_hat, e_hat penalties.
+    penalized once per entry that touches it. The predictions come from
+    predict_entries, which mixes W itself and raises its IndexError for an
+    entry outside the model; W is mixed again for the z_hat, e_hat penalties.
     """
-    z_hat, e_hat = compute_temporal(model)
     i, j, k = entries.i, entries.j, entries.k
-    preds = predict_rows(model.S[i] * model.U[j], z_hat[k], model.a[i], model.c[j], e_hat[k])
-    resid = entries.values - preds
+    resid = entries.values - predict_entries(model, i, j, k)
+    z_hat, e_hat = compute_temporal(model)
     row_s = np.einsum("nd,nd->n", model.S, model.S)
     row_u = np.einsum("nd,nd->n", model.U, model.U)
     row_z = np.einsum("nd,nd->n", z_hat, z_hat)

@@ -274,23 +274,16 @@ def save_coo(tensor: SparseTensor, dest) -> None:
     """Write COO text with a `%dims` header, _WRITE_BLOCK lines a write; values
     use repr so a reload reproduces every double exactly. A path is written
     atomically: a failed write leaves the previous file, or none, in place."""
-    if hasattr(dest, "write"):
-        _save_coo_stream(tensor, dest)
-    else:
-        with open_atomic(dest) as fh:
-            _save_coo_stream(tensor, fh)
-
-
-def _save_coo_stream(tensor: SparseTensor, fh) -> None:
-    fh.write(f"%dims {tensor.n_nodes} {tensor.n_nodes} {tensor.n_slots}\n")
-    columns = []
-    for col in (tensor.i, tensor.j, tensor.k):  # str() each distinct index once
-        distinct, where = np.unique(col, return_inverse=True)
-        columns.append((np.array(list(map(str, distinct.tolist())), dtype=object), where))
-    for lo in range(0, len(tensor.i), _WRITE_BLOCK):
-        fh.write("".join([f"{a} {b} {c} {v!r}\n" for a, b, c, v in zip(
-            *(text[where[lo:lo + _WRITE_BLOCK]].tolist() for text, where in columns),
-            tensor.values[lo:lo + _WRITE_BLOCK].tolist())]))
+    with nullcontext(dest) if hasattr(dest, "write") else open_atomic(dest) as fh:
+        fh.write(f"%dims {tensor.n_nodes} {tensor.n_nodes} {tensor.n_slots}\n")
+        columns = []
+        for col in (tensor.i, tensor.j, tensor.k):  # str() each distinct index once
+            distinct, where = np.unique(col, return_inverse=True)
+            columns.append((np.array(list(map(str, distinct.tolist())), dtype=object), where))
+        for lo in range(0, len(tensor.i), _WRITE_BLOCK):
+            fh.write("".join([f"{a} {b} {c} {v!r}\n" for a, b, c, v in zip(
+                *(text[where[lo:lo + _WRITE_BLOCK]].tolist() for text, where in columns),
+                tensor.values[lo:lo + _WRITE_BLOCK].tolist())]))
 
 
 def split(tensor: SparseTensor, ratios, seed: int) -> DatasetSplit:

@@ -1,0 +1,42 @@
+"""Every name a dyntf module imports is used in that module.
+
+No linter ships with the project, so this walks each module's syntax tree
+the way pyflakes' F401 check does: a name bound by an import must appear as
+a name somewhere else in the module. `from __future__` imports and import
+statements whose first line carries `# noqa: F401` are exempt, as they are
+for the linter; `__init__.py` re-exports its imports and is not walked.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "dyntf"
+MODULES = sorted(p.name for p in SRC.glob("*.py") if p.name != "__init__.py")
+
+
+def unused_imports(source: str) -> list[str]:
+    tree = ast.parse(source)
+    lines = source.splitlines()
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            if "# noqa: F401" in lines[node.lineno - 1]:
+                continue
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [f"{name} (line {line})" for name, line in imported.items() if name not in used]
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_every_import_is_used(module):
+    assert unused_imports((SRC / module).read_text(encoding="utf-8")) == []
+
+
+def test_a_stray_import_is_caught():
+    source = "from itertools import chain\nimport numpy as np\n\nx = np.zeros(1)\n"
+    assert unused_imports(source) == ["chain (line 1)"]

@@ -9,7 +9,7 @@ import dyntf
 from dyntf import (FactorModel, HyperParams, TemporalWeights, band_indices,
                    compute_temporal, init_positive, load_model, model_from_dict,
                    model_to_dict, objective, predict, predict_entries, save_model)
-from dyntf.model import check_memory, predict_rows
+from dyntf.model import check_memory
 
 
 def _bias_only(n=3, k=2, a=1.0, c=2.0, e=3.0):
@@ -222,7 +222,8 @@ class TestPredict:
         rng = np.random.default_rng(n)
         ii, jj, kk = rng.integers(0, 50, n), rng.integers(0, 50, n), rng.integers(0, 20, n)
         z_hat, e_hat = compute_temporal(m)
-        oracle = predict_rows(m.S[ii] * m.U[jj], z_hat[kk], m.a[ii], m.c[jj], e_hat[kk])
+        oracle = (np.einsum("nd,nd->n", m.S[ii] * m.U[jj], z_hat[kk])
+                  + m.a[ii] + m.c[jj] + e_hat[kk])
         assert predict_entries(m, ii, jj, kk).tobytes() == oracle.tobytes()
 
     def test_peak_allocation_is_one_block(self):

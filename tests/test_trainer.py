@@ -1,4 +1,5 @@
 import json
+import time
 import tracemalloc
 
 import numpy as np
@@ -120,6 +121,37 @@ class TestNmuEpoch:
                 nmu_epoch(m, fixture_split.train, hp, threads=threads)
             results.append(m)
         assert _max_param_change(results[0], results[1]) == 0.0
+
+
+class TestOrderedMap:
+    # the epoch's column runs and the tuner's swarm both take their results
+    # in item order; items 0 and 1 sleep, so on a pool the later ones finish first
+
+    @staticmethod
+    def _late_first(n, done, fail=()):
+        time.sleep(0.1 if n < 2 else 0.0)
+        done.append(n)
+        if n in fail:
+            raise ValueError(f"item {n}")
+        return n * n
+
+    @pytest.mark.parametrize("threads", [1, 3])
+    def test_results_come_in_item_order(self, threads):
+        done = []
+        out = list(dyntf.trainer._ordered_map(lambda n: self._late_first(n, done), range(5),
+                                              threads))
+        assert out == [0, 1, 4, 9, 16]
+        if threads > 1:
+            assert done.index(2) < done.index(0)  # a later item finished first
+
+    @pytest.mark.parametrize("threads", [1, 3])
+    def test_first_failing_item_in_order_raises(self, threads):
+        done = []
+        with pytest.raises(ValueError, match="^item 1$"):
+            list(dyntf.trainer._ordered_map(lambda n: self._late_first(n, done, (1, 3)),
+                                            range(5), threads))
+        if threads > 1:
+            assert done.index(3) < done.index(1)  # item 3 raised first
 
 
 def _random_tensor(n_nodes, n_slots, n_entries, seed):
@@ -486,6 +518,8 @@ class TestAnalyticGradient:
                 nmu_epoch(m.copy(), t, HyperParams(0.0, 0.0))
             with pytest.raises(ValueError, match=size):
                 analytic_gradient(m, t, HyperParams(0.0, 0.0), ("s", 0, 0))
+        with pytest.raises(IndexError, match="index out of range"):
+            objective(m, full, HyperParams(0.0, 0.0))
 
     def test_out_of_range_coordinate(self):
         m, t = _single_entry_model()
