@@ -161,8 +161,9 @@ def _parse_floats(text: str, count: int, flag: str) -> tuple:
 
 def cmd_split(args) -> int:
     ratios = _parse_floats(args.ratios, 3, "--ratios")
-    tensor = load_coo(args.input, n_nodes=args.nodes, n_slots=args.slots)
-    result = split(tensor, ratios, args.seed)
+    # the loaded tensor is freed once split returns, before the parts are written
+    result = split(load_coo(args.input, n_nodes=args.nodes, n_slots=args.slots), ratios,
+                   args.seed)
     save_coo(result.train, args.out_train)
     save_coo(result.validation, args.out_val)
     save_coo(result.test, args.out_test)

@@ -3,9 +3,11 @@
 An N x N x K tensor is kept as its observed-entry set in coordinate form:
 parallel arrays of sender index i, receiver index j, temporal slot k, and
 a nonnegative value. The observed set is a set: duplicate (i, j, k)
-coordinates are rejected. A tensor copies its inputs and freezes the
-copies, so no write by the caller reaches a validated tensor; it is safe
-to share read-only across threads. An empty set is a valid tensor.
+coordinates are rejected. A tensor copies its inputs, so no write by the
+caller reaches a validated tensor. Its public arrays are read-only views of
+the copies it owns, which stay writable because numpy copies a read-only
+argument of np.take or np.bincount per call; nothing writes them, so a
+tensor is safe to share across threads. An empty set is a valid tensor.
 
 Text format: one `i j k value` record a line, `#` starts a comment line,
 and an optional `%dims N N K` header may only be the first record. Reading
@@ -26,7 +28,7 @@ from .model import FactorModel, TemporalWeights, predict_entries
 
 
 MAX_DIM = 2**63 - 1  # the largest N or K: every in-bounds index fits the int64 index arrays
-_READ_BLOCK = 1 << 20  # bytes (characters for a text stream) load_coo reads at once
+_READ_BLOCK = 1 << 18  # bytes (characters for a text stream) load_coo reads at once
 _WRITE_BLOCK = 8192  # lines save_coo formats per write
 
 
@@ -54,7 +56,9 @@ class SparseTensor:
         if not (i.shape == j.shape == k.shape == values.shape):
             raise ValueError("index and value arrays must have equal length")
         self._validate()
-        for arr in (i, j, k, values):
+        self._columns = (i, j, k, values)  # writable owners behind the frozen views
+        self.i, self.j, self.k, self.values = (a.view() for a in self._columns)
+        for arr in (self.i, self.j, self.k, self.values):
             arr.setflags(write=False)
 
     def _validate(self) -> None:

@@ -22,10 +22,13 @@ for bit. The columns 0 .. rank (the last sums the biases) are cut into at
 most `threads` runs, which `_ordered_map`, the one place dyntf starts
 threads (the tuner's swarm uses it too), runs on a pool of at most
 rank + 1 workers; since one worker sums a whole column, the thread count
-changes no byte. A worker holds two buffers of one float per entry (16 B
-an entry, once per epoch) and writes its rows of the six (rank + 1,
-groups) totals. The trained model is then written field by field, its
-arrays in blocks (`save_model`).
+changes no byte. Each run gets two buffers of one float per entry (16 B
+an entry, once per epoch), allocated by the caller before any worker
+starts, and writes its rows of the six (rank + 1, groups) totals. The
+entry arrays are read from the tensor's writable owners (`_columns`):
+numpy copies a read-only argument of np.take or np.bincount per call.
+The trained model is then written field by field, its arrays in blocks
+(`save_model`).
 
 `train` and the tuner's `adapt_train` are steps of one epoch loop,
 `_run_epochs`, which records the scores, stops and builds the report.
@@ -120,7 +123,7 @@ def _ordered_map(fn, items, threads):
 # DivergenceError, so the intermediate FP warnings are pure noise
 @np.errstate(over="ignore", invalid="ignore")
 def _epoch_sums(model, z_hat, e_hat, data, threads):
-    ii, jj, kk, x = data.i, data.j, data.k, data.values
+    ii, jj, kk, x = data._columns  # writable, so numpy copies none of them per call
     rank = model.rank
     pred = _predict_blocks(model, z_hat, e_hat, ii, jj, kk)
     # each group's index, size and the two factors whose product are its rows:
@@ -134,7 +137,7 @@ def _epoch_sums(model, z_hat, e_hat, data, threads):
               for group, (_, size, *_) in groups.items() for kind in ("num_", "den_")}
 
     def run(columns):
-        rows, weighted = np.empty(len(x)), np.empty(len(x))
+        rows, weighted = buffers[columns[0]]
         for d in columns:
             for group, (idx, size, (f, fi), (g, gi)) in groups.items():
                 if d < rank:
@@ -149,6 +152,9 @@ def _epoch_sums(model, z_hat, e_hat, data, threads):
 
     # each column is one worker's, so no sum depends on the thread count
     runs = np.array_split(np.arange(rank + 1), min(threads, rank + 1))
+    # each run's two length-n buffers, allocated on this thread: allocated in the
+    # workers, they raised wide's train peak RSS by about 4.5 MB
+    buffers = {run[0]: (np.empty(len(x)), np.empty(len(x))) for run in runs}
     list(_ordered_map(run, runs, len(runs)))  # each run writes its rows of the totals
     return {key: total.T for key, total in totals.items()}
 
@@ -186,9 +192,8 @@ def _mu_terms(model: FactorModel, data, hp: HyperParams, threads: int) -> dict:
                          f"a model of N={n}, K={n_slots}")
     z_hat, e_hat = compute_temporal(model)
     sums = _epoch_sums(model, z_hat, e_hat, data, threads)
-    counts_i = np.bincount(data.i, minlength=n).astype(float)
-    counts_j = np.bincount(data.j, minlength=n).astype(float)
-    counts_k = np.bincount(data.k, minlength=n_slots).astype(float)
+    counts_i, counts_j, counts_k = (np.bincount(idx, minlength=size).astype(float)
+                                    for idx, size in zip(data._columns, (n, n, n_slots)))
     lam, lam_b = hp.lam, hp.lam_b
     # each group's sums are (groups, D + 1): its row sums, then its bias sum.
     # Per-slot sums of the [Z | e] numerators (index 0) and denominators

@@ -6,6 +6,8 @@ and noise 0.01, split 7:1:2. All seeds are fixed so every derived
 number in the suite is reproducible.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -41,3 +43,13 @@ def entry_tuples(tensor):
     """The tensor's entries as (i, j, k, value) tuples of Python numbers, in entry order."""
     return list(zip(tensor.i.tolist(), tensor.j.tolist(), tensor.k.tolist(),
                     tensor.values.tolist()))
+
+
+def traced_peak(fn, *args):
+    """(the tracemalloc peak of fn(*args) in bytes, its result)."""
+    tracemalloc.start()
+    try:
+        result = fn(*args)
+        return tracemalloc.get_traced_memory()[1], result
+    finally:
+        tracemalloc.stop()

@@ -5,6 +5,7 @@ import resource
 import subprocess
 import sys
 import warnings
+import weakref
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -134,6 +135,28 @@ class TestSplit:
         for p in parts:
             merged |= set(entry_tuples(p))
         assert merged == set(entry_tuples(full))
+
+    def test_source_is_freed_before_the_parts_are_written(self, workspace, monkeypatch):
+        # the loaded tensor is held by no one while split writes its parts
+        loaded, written = [], []
+        load_coo, save_coo = dyntf.cli.load_coo, dyntf.cli.save_coo
+
+        def watched_load(*args, **kwargs):
+            tensor = load_coo(*args, **kwargs)
+            loaded.append(weakref.ref(tensor))
+            return tensor
+
+        def save_without_source(tensor, dest):
+            assert [ref() for ref in loaded] == [None]
+            written.append(dest)
+            save_coo(tensor, dest)
+
+        monkeypatch.setattr(dyntf.cli, "load_coo", watched_load)
+        monkeypatch.setattr(dyntf.cli, "save_coo", save_without_source)
+        assert run("split", "--input", workspace / "data.coo", "--ratios", "7,1,2",
+                   "--out-train", workspace / "a", "--out-val", workspace / "b",
+                   "--out-test", workspace / "c") == 0
+        assert len(written) == 3
 
     def test_bad_ratios_usage_error(self, workspace):
         assert run("split", "--input", workspace / "data.coo", "--ratios", "1,2",

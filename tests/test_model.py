@@ -1,6 +1,5 @@
 import json
 import os
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,6 +9,8 @@ from dyntf import (FactorModel, HyperParams, TemporalWeights, band_indices,
                    compute_temporal, init_positive, load_model, model_from_dict,
                    model_to_dict, objective, predict, predict_entries, save_model)
 from dyntf.model import check_memory
+
+from conftest import traced_peak
 
 
 def _bias_only(n=3, k=2, a=1.0, c=2.0, e=3.0):
@@ -232,12 +233,7 @@ class TestPredict:
         rng = np.random.default_rng(3)
         idx = (rng.integers(0, 2000, 100_000), rng.integers(0, 2000, 100_000),
                rng.integers(0, 50, 100_000))
-        tracemalloc.start()
-        try:
-            predict_entries(m, *idx)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        peak, _ = traced_peak(predict_entries, m, *idx)
         assert peak < 8e6
 
 
@@ -332,12 +328,7 @@ class TestSerialization:
         # the wide benchmark's model: building its whole text and a list of
         # every float traced 7.7 MB
         m = init_positive(2000, 50, 20, 49, seed=1)
-        tracemalloc.start()
-        try:
-            save_model(m, HyperParams(0.01, 0.01), tmp_path / "m.json")
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        peak, _ = traced_peak(save_model, m, HyperParams(0.01, 0.01), tmp_path / "m.json")
         assert peak < 1e6
 
     def test_extra_block_preserved_on_disk(self, tmp_path):

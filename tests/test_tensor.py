@@ -1,6 +1,5 @@
 import io
 import re
-import tracemalloc
 import warnings
 
 import numpy as np
@@ -12,7 +11,7 @@ import dyntf
 from dyntf import DataError, SparseTensor, compute_stats, generate_synthetic, load_coo, save_coo, split
 from dyntf.tensor import MAX_DIM, _sample_positions
 
-from conftest import entry_tuples
+from conftest import entry_tuples, traced_peak
 
 
 def _load(text, **kw):
@@ -386,19 +385,10 @@ def wide_coo(tmp_path_factory):
     return path
 
 
-def _traced_peak(fn, *args):
-    tracemalloc.start()
-    try:
-        result = fn(*args)
-        return tracemalloc.get_traced_memory()[1], result
-    finally:
-        tracemalloc.stop()
-
-
 def test_reader_holds_about_one_block_of_text(wide_coo):
     # reading the whole file as lines peaked at 33.3 MB; block by block, the
     # columns, the tensor's copy of them and its checks set the peak (13-15 MB)
-    peak, t = _traced_peak(load_coo, wide_coo)
+    peak, t = traced_peak(load_coo, wide_coo)
     assert t.n_entries == 150_000
     assert peak <= 20e6
 
@@ -406,7 +396,7 @@ def test_reader_holds_about_one_block_of_text(wide_coo):
 def test_writer_holds_a_few_write_blocks(wide_coo, tmp_path):
     # 65536 lines a write peaked at 12.2 MB on this part, 8192 at about 6.3 MB
     part = load_coo(wide_coo).take(np.arange(105_000))
-    peak, _ = _traced_peak(save_coo, part, tmp_path / "part.coo")
+    peak, _ = traced_peak(save_coo, part, tmp_path / "part.coo")
     assert peak <= 7.5e6
 
 
@@ -414,7 +404,7 @@ def test_split_holds_each_part_once(wide_coo):
     # copying each part again after indexing it peaked at 10.4-11.2 MB
     # (2.2-2.3 times the parts' 4.8 MB), keeping the indexed arrays at 7.1-7.8 MB
     t = load_coo(wide_coo)
-    peak, _ = _traced_peak(split, t, (7, 1, 2), 1)
+    peak, _ = traced_peak(split, t, (7, 1, 2), 1)
     assert peak <= 1.9 * 150_000 * 32
 
 
@@ -468,9 +458,15 @@ def test_writer_matches_reference_across_write_blocks():
     assert buf.getvalue() == _reference_save(t)
 
 
-def test_tensor_arrays_read_only(small_tensor):
-    with pytest.raises(ValueError):
-        small_tensor.values[0] = 9.0
+def test_tensor_arrays_read_only(small_tensor, tmp_path):
+    # every public array of every tensor, however it was built, refuses a write
+    save_coo(small_tensor, tmp_path / "t.coo")
+    tensors = [small_tensor, load_coo(tmp_path / "t.coo"),
+               *vars(split(small_tensor, (2, 1, 1), seed=0)).values()]
+    for t in tensors:
+        for arr in (t.i, t.j, t.k, t.values):
+            with pytest.raises(ValueError):
+                arr[0] = 1
 
 
 def test_caller_arrays_stay_writable():

@@ -1,6 +1,5 @@
 import json
 import time
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,6 +12,8 @@ from dyntf import (DivergenceError, FactorModel, HyperParams, SparseTensor,
                    TemporalWeights, TrainConfig, analytic_gradient, band_indices,
                    compute_temporal, generate_synthetic, init_positive, model_to_dict,
                    nmu_epoch, objective, predict_entries, train)
+
+from conftest import traced_peak
 
 
 def _single_entry_model(value=2.0):
@@ -203,23 +204,35 @@ class TestEpochSums:
         for name, expected in ref.items():
             assert sums[name].tobytes() == expected.tobytes(), name
 
-    @pytest.mark.parametrize("threads, buffers", [(1, 5), (2, 8.5)])
+    @pytest.mark.parametrize("threads, buffers", [(1, 5), (2, 3)])
     def test_peak_allocation_is_a_few_chunk_buffers(self, threads, buffers):
         # Wide's shape at rank 20 over 5 * 8192 + 123 entries, in units of an
         # (8192, 20) buffer. The chunked accumulator this replaced peaked at
         # 4.2 buffers at 1 thread and 7.2-7.4 at 2; summing whole columns holds
-        # the six (21, N) totals, two length-n buffers a worker and the
-        # predictions.
+        # the six (21, N) totals, two length-n buffers a run and the
+        # predictions. With numpy copying read-only entry arrays per call, 2
+        # threads peaked at 3.08 buffers; without the copies, at 2.40.
         data = _random_tensor(2000, 50, 5 * 8192 + 123, seed=5)
         model = init_positive(2000, 50, 20, 0, seed=1)
         z_hat, e_hat = compute_temporal(model)
-        tracemalloc.start()
-        try:
-            dyntf.trainer._epoch_sums(model, z_hat, e_hat, data, threads)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        peak, _ = traced_peak(dyntf.trainer._epoch_sums, model, z_hat, e_hat, data, threads)
         assert peak < buffers * 8192 * 20 * 8
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_epoch_copies_and_writes_no_entry_array(self, threads):
+        # Many entries, few nodes: the peak is the predictions and two length-n
+        # buffers per run (3.03 and 5.04 n-arrays at 1 and 2 threads). numpy
+        # copies a read-only argument of np.take and np.bincount on every
+        # call; handing it the tensor's frozen arrays peaked at 5.03 and 8.04.
+        data = _random_tensor(400, 5, 200_000, seed=7)
+        model = init_positive(400, 5, 2, 0, seed=1)
+        z_hat, e_hat = compute_temporal(model)
+        before = [a.tobytes() for a in (data.i, data.j, data.k, data.values)]
+        peak, _ = traced_peak(dyntf.trainer._epoch_sums, model, z_hat, e_hat, data, threads)
+        runs = min(threads, model.rank + 1)
+        assert peak < (1 + 2 * runs + 0.25) * data.n_entries * 8
+        nmu_epoch(model, data, HyperParams(0.01, 0.01), threads=threads)
+        assert [a.tobytes() for a in (data.i, data.j, data.k, data.values)] == before
 
     @pytest.mark.parametrize("threads", [1, 2])
     def test_peak_is_about_the_totals_at_many_nodes(self, threads):
@@ -230,12 +243,7 @@ class TestEpochSums:
         data = _random_tensor(n, k, 3 * 8192 + 1, seed=2)
         model = init_positive(n, k, rank, 2, seed=3)
         z_hat, e_hat = compute_temporal(model)
-        tracemalloc.start()
-        try:
-            dyntf.trainer._epoch_sums(model, z_hat, e_hat, data, threads)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        peak, _ = traced_peak(dyntf.trainer._epoch_sums, model, z_hat, e_hat, data, threads)
         assert peak < 1.25 * (4 * n + 2 * k) * (rank + 1) * 8
 
     @pytest.mark.parametrize("block, n_entries", [(1, 301), (7, 301), (_BLOCK, 2 * _BLOCK + 123),
