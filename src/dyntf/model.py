@@ -22,8 +22,8 @@ W is stored as its band, a (K, window) array with band[k, m - 1] =
 w[k, k - m]; the unit diagonal and the zeros are implied. Two loops own
 the lag-by-lag contractions with W, each O(K * window * D):
 `compute_temporal` mixes W @ [Z | e] and the trainer's `_mu_terms` carries
-its slot sums back through W.T, so no caller hands a mix in.
-`TemporalWeights.w` builds a read-only dense copy on demand.
+its slot sums back through W.T, so no caller hands a mix in. Predictions
+gather their rows into two buffers of 256 KiB each, whatever the rank.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ import numpy as np
 
 from .atomic import write_json
 
-_BLOCK = 8192  # entries predict_entries gathers at a time
+_GATHER_BYTES = 256 << 10  # bytes of each of _predict_blocks' two row buffers
 
 
 @dataclass
@@ -53,15 +53,6 @@ class TemporalWeights:
     @property
     def window(self) -> int:
         return self.band.shape[1]
-
-    @property
-    def w(self) -> np.ndarray:
-        """Dense K x K matrix, built on demand and read-only."""
-        ks, ls = band_indices(len(self.band), self.window)
-        w = np.eye(len(self.band))
-        w[ks, ls] = self.band[ks, ks - ls - 1]
-        w.flags.writeable = False
-        return w
 
     def validate(self) -> None:
         band, window = self.band, self.window
@@ -231,22 +222,23 @@ def predict_entries(model: FactorModel, ii: np.ndarray, jj: np.ndarray,
 
 def _predict_blocks(model: FactorModel, z_hat: np.ndarray, e_hat: np.ndarray,
                     ii: np.ndarray, jj: np.ndarray, kk: np.ndarray) -> np.ndarray:
-    """Predictions for in-range indices, _BLOCK entries at a time: the rows
-    are gathered into two (block, rank) buffers that every block reuses, and
-    each prediction reads its own entry alone, so no byte depends on the
-    block size."""
+    """Predictions for in-range indices, a block of entries at a time: the
+    rows are gathered into two (block, rank) buffers of _GATHER_BYTES that
+    every block reuses, and each prediction reads its own entry alone, so
+    no byte depends on the block length."""
     out = np.empty(len(ii))
-    shape = (min(_BLOCK, len(ii)), model.rank)
+    block = max(1, _GATHER_BYTES // (8 * max(model.rank, 1)))
+    shape = (min(block, len(ii)), model.rank)
     su, zk = np.empty(shape), np.empty(shape)
-    for lo in range(0, len(ii), _BLOCK):
-        i, j, k = (idx[lo:lo + _BLOCK] for idx in (ii, jj, kk))
+    for lo in range(0, len(ii), block):
+        i, j, k = (idx[lo:lo + block] for idx in (ii, jj, kk))
         rows, other = su[:len(i)], zk[:len(i)]
         # np.take "clip" writes straight into `out` ("raise" buffers it); the
         # callers have checked the indices, so it clips nothing
         np.take(model.S, i, 0, rows, "clip")
         rows *= np.take(model.U, j, 0, other, "clip")
-        out[lo:lo + _BLOCK] = (np.einsum("nd,nd->n", rows, np.take(z_hat, k, 0, other, "clip"))
-                               + model.a[i] + model.c[j] + e_hat[k])
+        out[lo:lo + block] = (np.einsum("nd,nd->n", rows, np.take(z_hat, k, 0, other, "clip"))
+                              + model.a[i] + model.c[j] + e_hat[k])
     return out
 
 

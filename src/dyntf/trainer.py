@@ -14,7 +14,8 @@ keep their value. `_mu_terms` computes every numerator and denominator;
 difference check of it checks the code that trains.
 
 The accumulation is a reduction over observed entries. `_epoch_sums`
-predicts every entry once, then sums one latent column at a time: one
+predicts every entry once, gathering rows into two 256 KiB buffers
+(`model._predict_blocks`), then sums one latent column at a time: one
 `np.bincount` per column, group and weight adds the entries into their
 rows in entry order, as an unchunked `np.add.at` does, so the sums need
 no chunk grid or merge to fix their order and equal that reference bit
@@ -197,8 +198,9 @@ def _mu_terms(model: FactorModel, data, hp: HyperParams, threads: int) -> dict:
     lam, lam_b = hp.lam, hp.lam_b
     # each group's sums are (groups, D + 1): its row sums, then its bias sum.
     # Per-slot sums of the [Z | e] numerators (index 0) and denominators
-    # (index 1), K x 2 x (D + 1); W.T carries them back to the slots they mix
-    slot = np.stack((sums["num_z"], sums["den_z"]), axis=1)
+    # (index 1), K x 2 x (D + 1); W.T carries them back to the slots they mix.
+    # Popped, so the z totals are freed once stacked
+    slot = np.stack((sums.pop("num_z"), sums.pop("den_z")), axis=1)
     slot[:, 1, :-1] += lam * z_hat * counts_k[:, None]
     slot[:, 1, -1] += lam_b * e_hat * counts_k
     back = slot.copy()

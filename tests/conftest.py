@@ -45,6 +45,21 @@ def entry_tuples(tensor):
                     tensor.values.tolist()))
 
 
+def block_rows(rank):
+    """Entries model._predict_blocks predicts at a time at this rank."""
+    return max(1, dyntf.model._GATHER_BYTES // (8 * rank))
+
+
+def dense_w(weights):
+    """The dense K x K W of a TemporalWeights band, read-only: the unit
+    diagonal, w[k, k - m] = band[k, m - 1] inside the window, 0 elsewhere."""
+    ks, ls = dyntf.band_indices(len(weights.band), weights.window)
+    w = np.eye(len(weights.band))
+    w[ks, ls] = weights.band[ks, ks - ls - 1]
+    w.flags.writeable = False
+    return w
+
+
 def traced_peak(fn, *args):
     """(the tracemalloc peak of fn(*args) in bytes, its result)."""
     tracemalloc.start()

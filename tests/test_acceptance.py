@@ -19,6 +19,8 @@ from dyntf import (DEAConfig, HyperParams, SparseTensor, TrainConfig,
                    objective, save_coo, train, validation_metrics)
 from dyntf.cli import main as cli_main
 
+from conftest import dense_w
+
 # canonical synthetic fixture: 50 nodes, 20 slots, rank-2 truth, 5%
 # density, AR 0.9, noise 0.01, split 7:1:2, model seeded separately
 FIXTURE_SEED = 7
@@ -109,9 +111,9 @@ def test_criterion_2_nonnegativity_and_structure():
     hp = HyperParams(0.01, 0.01)
     for _ in range(200):
         nmu_epoch(m, sp.train, hp)
-    for arr in (m.S, m.U, m.Z, m.a, m.c, m.e, m.weights.w):
+    for arr in (m.S, m.U, m.Z, m.a, m.c, m.e, dense_w(m.weights)):
         assert arr.min() >= 0.0
-    w = m.weights.w
+    w = dense_w(m.weights)
     assert (np.diag(w) == 1.0).all()
     rows, cols = np.indices(w.shape)
     inadmissible = (cols > rows) | (rows - cols > 19)
@@ -131,7 +133,7 @@ def test_criterion_3_ground_truth_fixed_point():
     deltas = [np.max(np.abs(x - y)) if x.size else 0.0 for x, y in
               ((work.S, truth.S), (work.U, truth.U), (work.Z, truth.Z),
                (work.a, truth.a), (work.c, truth.c), (work.e, truth.e),
-               (work.weights.w, truth.weights.w))]
+               (dense_w(work.weights), dense_w(truth.weights)))]
     assert max(deltas) <= 1e-12
     _, report = train(truth, sp.train, sp.validation, hp,
                       TrainConfig(max_epochs=50, tolerance=1e-5))

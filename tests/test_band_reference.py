@@ -21,19 +21,21 @@ import dyntf.trainer
 from dyntf import (HyperParams, SparseTensor, compute_temporal, init_positive,
                    load_model, nmu_epoch, save_model)
 
+from conftest import dense_w
+
 PARENT_MODEL = Path(__file__).parent / "data" / "model_window3.json"
 N, K, D = 5, 7, 3
 
 
 def dense_temporal(model):
-    w = model.weights.w
+    w = dense_w(model.weights)
     return w @ model.Z, w @ model.e
 
 
 def dense_epoch(model, data, hp, denom_floor=1e-12):
     """One att-mode multiplicative update with a dense W: the new S, U, Z,
     a, c, e and the new dense W, by name."""
-    w = model.weights.w
+    w = dense_w(model.weights)
     window = model.window
     z_hat, e_hat = dense_temporal(model)
     sums = dyntf.trainer._epoch_sums(model, z_hat, e_hat, data, 1)
@@ -106,7 +108,7 @@ def test_nmu_epoch_matches_dense(window, seed):
     for name in ("S", "U", "Z", "a", "c", "e"):
         np.testing.assert_allclose(getattr(got, name), ref[name],
                                    rtol=1e-12, atol=0, err_msg=name)
-    np.testing.assert_allclose(got.weights.w, ref["W"], rtol=1e-12, atol=0)
+    np.testing.assert_allclose(dense_w(got.weights), ref["W"], rtol=1e-12, atol=0)
     got.weights.validate()
 
 

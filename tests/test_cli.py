@@ -16,7 +16,7 @@ import dyntf
 from dyntf.atomic import write_json
 from dyntf.cli import main
 
-from conftest import entry_tuples
+from conftest import dense_w, entry_tuples
 
 
 def run(*argv):
@@ -211,7 +211,7 @@ class TestTrain:
                       "--window", 5) == 0
         model, _ = dyntf.load_model(workspace / "m.json")
         assert model.window == 0
-        assert np.array_equal(model.weights.w, np.eye(10))
+        assert np.array_equal(dense_w(model.weights), np.eye(10))
 
     def test_adapt_mode_report(self, workspace):
         assert _train(workspace, "--adapt", "--pop", 5, "--max-epochs", 8) == 0

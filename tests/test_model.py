@@ -10,12 +10,12 @@ from dyntf import (FactorModel, HyperParams, TemporalWeights, band_indices,
                    model_to_dict, objective, predict, predict_entries, save_model)
 from dyntf.model import check_memory
 
-from conftest import traced_peak
+from conftest import block_rows, dense_w, traced_peak
 
 
-def _bias_only(n=3, k=2, a=1.0, c=2.0, e=3.0):
-    zeros = np.zeros((n, 1))
-    return FactorModel(S=zeros.copy(), U=zeros.copy(), Z=np.zeros((k, 1)),
+def _bias_only(n=3, k=2, a=1.0, c=2.0, e=3.0, rank=1):
+    zeros = np.zeros((n, rank))
+    return FactorModel(S=zeros.copy(), U=zeros.copy(), Z=np.zeros((k, rank)),
                        a=np.full(n, a), c=np.full(n, c), e=np.full(k, e),
                        weights=TemporalWeights(band=np.zeros((k, 0))))
 
@@ -31,18 +31,18 @@ class TestTemporalWeights:
     def test_identity_is_valid(self):
         weights = TemporalWeights(band=np.zeros((4, 0)))
         weights.validate()
-        assert np.array_equal(weights.w, np.eye(4))
+        assert np.array_equal(dense_w(weights), np.eye(4))
 
     def test_diagonal_must_be_one(self):
-        w = init_positive(2, 5, 1, 2, seed=3).weights.w
+        w = dense_w(init_positive(2, 5, 1, 2, seed=3).weights)
         assert (np.diag(w) == 1.0).all()
 
     def test_upper_triangle_must_be_zero(self):
-        w = init_positive(2, 5, 1, 2, seed=3).weights.w
+        w = dense_w(init_positive(2, 5, 1, 2, seed=3).weights)
         assert not np.triu(w, 1).any()
 
     def test_band_limit_enforced(self):
-        w = init_positive(2, 5, 1, 2, seed=3).weights.w
+        w = dense_w(init_positive(2, 5, 1, 2, seed=3).weights)
         assert not np.tril(w, -3).any()  # depth 3 > window 2
 
     def test_negative_weight_rejected(self):
@@ -63,7 +63,7 @@ class TestTemporalWeights:
 
     def test_dense_view_places_lags(self):
         band = np.array([[0, 0], [0.1, 0], [0.2, 0.3], [0.4, 0.5]])
-        w = TemporalWeights(band=band).w
+        w = dense_w(TemporalWeights(band=band))
         expected = np.eye(4)
         expected[1, 0], expected[2, 1], expected[2, 0] = 0.1, 0.2, 0.3
         expected[3, 2], expected[3, 1] = 0.4, 0.5
@@ -72,7 +72,7 @@ class TestTemporalWeights:
     def test_dense_view_is_read_only(self):
         weights = init_positive(3, 4, 1, 2, seed=0).weights
         with pytest.raises(ValueError, match="read-only"):
-            weights.w[1, 0] += 1.0
+            dense_w(weights)[1, 0] += 1.0
 
 
 def test_band_indices_row_major():
@@ -93,18 +93,18 @@ class TestInitPositive:
 
     def test_window_zero_gives_identity(self):
         m = init_positive(4, 3, 2, 0, seed=1)
-        assert np.array_equal(m.weights.w, np.eye(3))
+        assert np.array_equal(dense_w(m.weights), np.eye(3))
 
     def test_band_strictly_positive(self):
         m = init_positive(4, 5, 2, 3, seed=2)
         ks, ls = band_indices(5, 3)
-        assert m.weights.w[ks, ls].min() > 0
+        assert dense_w(m.weights)[ks, ls].min() > 0
 
     def test_same_seed_bitwise_identical(self):
         a = init_positive(5, 4, 2, 2, seed=42)
         b = init_positive(5, 4, 2, 2, seed=42)
         for x, y in ((a.S, b.S), (a.U, b.U), (a.Z, b.Z), (a.a, b.a),
-                     (a.c, b.c), (a.e, b.e), (a.weights.w, b.weights.w)):
+                     (a.c, b.c), (a.e, b.e), (dense_w(a.weights), dense_w(b.weights))):
             assert np.array_equal(x, y)
 
     def test_shapes_and_properties(self):
@@ -162,9 +162,11 @@ class TestComputeTemporal:
 
 class TestPredict:
     def test_bias_only(self):
-        m = _bias_only()
-        assert predict(m, 0, 1, 0) == 6.0
-        assert predict(m, 2, 2, 0) == 6.0
+        # rank 0 too: a model file may hold one, and its blocks gather no rows
+        for rank in (1, 0):
+            m = _bias_only(rank=rank)
+            assert predict(m, 0, 1, 0) == 6.0
+            assert predict(m, 2, 2, 0) == 6.0
 
     def test_rank_one_product(self):
         m = FactorModel(S=np.array([[2.0]]), U=np.array([[3.0]]),
@@ -215,11 +217,12 @@ class TestPredict:
         singles = [predict(m, *t) for t in zip(ii, jj, kk)]
         assert np.array_equal(batch, np.array(singles))
 
-    B = dyntf.model._BLOCK
+    # rank 4 gathers 256 KiB / (8 * 4) = 8192 entries a block
+    B = block_rows(4)
 
-    @pytest.mark.parametrize("n", [1, B - 1, B, B + 1, 3 * B + 457])
-    def test_blocks_equal_unblocked_oracle(self, n):
-        m = init_positive(50, 20, 7, 3, seed=n)
+    @staticmethod
+    def _check_blocks(rank, n):
+        m = init_positive(50, 20, rank, 3, seed=n)
         rng = np.random.default_rng(n)
         ii, jj, kk = rng.integers(0, 50, n), rng.integers(0, 50, n), rng.integers(0, 20, n)
         z_hat, e_hat = compute_temporal(m)
@@ -227,14 +230,33 @@ class TestPredict:
                   + m.a[ii] + m.c[jj] + e_hat[kk])
         assert predict_entries(m, ii, jj, kk).tobytes() == oracle.tobytes()
 
+    @pytest.mark.parametrize("n", [1, B - 1, B, B + 1, 3 * B + 457])
+    def test_blocks_equal_unblocked_oracle(self, n):
+        self._check_blocks(4, n)
+
+    @pytest.mark.parametrize("rank", [1, 7, 80])
+    def test_block_edges_follow_the_rank(self, rank):
+        b = block_rows(rank)
+        for n in (1, b - 1, b, b + 1, 3 * b + 457):
+            self._check_blocks(rank, n)
+
+    def test_one_row_blocks_give_the_same_bytes(self, monkeypatch):
+        monkeypatch.setattr(dyntf.model, "_GATHER_BYTES", 1)
+        for n in (1, 2, 301):
+            self._check_blocks(7, n)
+
     def test_peak_allocation_is_one_block(self):
-        # 100k entries at rank 20: gathering them all at once traced 35.2 MB
-        m = init_positive(2000, 50, 20, 0, seed=1)
+        # 100k entries: the output and the two gather buffers at any rank, with
+        # half a buffer for the mix and a block's 1-D temporaries (1.41 and
+        # 1.39 MB). Gathering all rows at once traced 35.2 MB at rank 20; two
+        # 8192-row buffers traced 2.31 MB at rank 10 and 11.5 MB at rank 80
         rng = np.random.default_rng(3)
-        idx = (rng.integers(0, 2000, 100_000), rng.integers(0, 2000, 100_000),
-               rng.integers(0, 50, 100_000))
-        peak, _ = traced_peak(predict_entries, m, *idx)
-        assert peak < 8e6
+        n = 100_000
+        idx = (rng.integers(0, 2000, n), rng.integers(0, 2000, n), rng.integers(0, 50, n))
+        for rank in (10, 80):
+            m = init_positive(2000, 50, rank, 0, seed=1)
+            peak, _ = traced_peak(predict_entries, m, *idx)
+            assert peak < 8 * n + 2.5 * dyntf.model._GATHER_BYTES, rank
 
 
 class TestObjective:
@@ -278,7 +300,7 @@ class TestSerialization:
         save_model(m, hp, path)
         back, hp_back = load_model(path)
         for x, y in ((m.S, back.S), (m.U, back.U), (m.Z, back.Z), (m.a, back.a),
-                     (m.c, back.c), (m.e, back.e), (m.weights.w, back.weights.w)):
+                     (m.c, back.c), (m.e, back.e), (dense_w(m.weights), dense_w(back.weights))):
             assert np.array_equal(x, y)
         assert (hp_back.lam, hp_back.lam_b) == (hp.lam, hp.lam_b)
         assert (back.rank, back.window) == (3, 2)
@@ -347,7 +369,7 @@ def test_copy_is_deep():
     dup.S[0, 0] = 99.0
     dup.weights.band[1, 0] = 0.123
     assert m.S[0, 0] != 99.0
-    assert m.weights.w[1, 0] != 0.123
+    assert dense_w(m.weights)[1, 0] != 0.123
 
 
 def test_validate_catches_shape_and_sign_errors():

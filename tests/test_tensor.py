@@ -11,7 +11,7 @@ import dyntf
 from dyntf import DataError, SparseTensor, compute_stats, generate_synthetic, load_coo, save_coo, split
 from dyntf.tensor import MAX_DIM, _sample_positions
 
-from conftest import entry_tuples, traced_peak
+from conftest import dense_w, entry_tuples, traced_peak
 
 
 def _load(text, **kw):
@@ -669,7 +669,7 @@ class TestGenerateSynthetic:
         for arr in (truth.S, truth.U, truth.Z, truth.a, truth.c, truth.e):
             assert arr.min() > 0
         assert truth.window == 0
-        assert np.array_equal(truth.weights.w, np.eye(truth.n_slots))
+        assert np.array_equal(dense_w(truth.weights), np.eye(truth.n_slots))
 
     def test_values_nonnegative(self, fixture_data):
         data, _ = fixture_data

@@ -13,7 +13,7 @@ from dyntf import (DivergenceError, FactorModel, HyperParams, SparseTensor,
                    compute_temporal, generate_synthetic, init_positive, model_to_dict,
                    nmu_epoch, objective, predict_entries, train)
 
-from conftest import traced_peak
+from conftest import block_rows, dense_w, traced_peak
 
 
 def _single_entry_model(value=2.0):
@@ -26,7 +26,7 @@ def _single_entry_model(value=2.0):
 
 def _max_param_change(a: FactorModel, b: FactorModel) -> float:
     pairs = ((a.S, b.S), (a.U, b.U), (a.Z, b.Z), (a.a, b.a), (a.c, b.c),
-             (a.e, b.e), (a.weights.w, b.weights.w))
+             (a.e, b.e), (dense_w(a.weights), dense_w(b.weights)))
     return max(float(np.max(np.abs(x - y))) if x.size else 0.0 for x, y in pairs)
 
 
@@ -52,7 +52,7 @@ class TestNmuEpoch:
         m = init_positive(12, 6, 3, 4, seed=17)
         for _ in range(30):
             nmu_epoch(m, data, HyperParams(0.05, 0.02))
-        for arr in (m.S, m.U, m.Z, m.a, m.c, m.e, m.weights.w):
+        for arr in (m.S, m.U, m.Z, m.a, m.c, m.e, dense_w(m.weights)):
             assert arr.min() >= 0
 
     def test_structure_preserved(self):
@@ -60,7 +60,7 @@ class TestNmuEpoch:
         m = init_positive(12, 6, 2, 2, seed=18)
         for _ in range(20):
             nmu_epoch(m, data, HyperParams(0.01, 0.01))
-        w = m.weights.w
+        w = dense_w(m.weights)
         assert (np.diag(w) == 1.0).all()
         rows, cols = np.indices(w.shape)
         outside = (cols > rows) | (rows - cols > 2)
@@ -82,8 +82,8 @@ class TestNmuEpoch:
         assert np.array_equal(m.Z[2:], before.Z[2:])
         assert np.array_equal(m.e[2:], before.e[2:])
         # W rows for slots without observations keep their band values
-        assert m.weights.w[1, 0] != before.weights.w[1, 0]
-        assert np.array_equal(m.weights.w[2:], before.weights.w[2:])
+        assert dense_w(m.weights)[1, 0] != dense_w(before.weights)[1, 0]
+        assert np.array_equal(dense_w(m.weights)[2:], dense_w(before.weights)[2:])
         # parameters with data did move
         assert not np.array_equal(m.S[:2], before.S[:2])
 
@@ -92,7 +92,7 @@ class TestNmuEpoch:
         m = init_positive(10, 5, 2, 0, seed=4)
         for _ in range(10):
             nmu_epoch(m, data, HyperParams(0.01, 0.01))
-        assert np.array_equal(m.weights.w, np.eye(5))
+        assert np.array_equal(dense_w(m.weights), np.eye(5))
 
     def test_empty_training_set_is_identity(self):
         t = SparseTensor(3, 2, [], [], [], [])
@@ -179,24 +179,22 @@ def _reference_sums(model, data):
     return out
 
 
-_BLOCK = dyntf.model._BLOCK
-
-
 class TestEpochSums:
     @settings(max_examples=25, deadline=None)
     @given(rank=st.integers(1, 24),
-           n_entries=st.sampled_from([1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 3 * _BLOCK + 457]),
+           edge=st.sampled_from([(0, 1), (1, -1), (1, 0), (1, 1), (3, 457)]),
            window=st.sampled_from([0, 4]), threads=st.sampled_from([1, 2, 8]),
            seed=st.integers(0, 2**16))
-    @example(rank=20, n_entries=3 * _BLOCK + 457, window=4, threads=8, seed=0)
-    @example(rank=1, n_entries=_BLOCK + 1, window=0, threads=2, seed=1)
-    def test_workspace_sums_equal_allocating_oracle(self, rank, n_entries, window, threads,
-                                                    seed):
+    @example(rank=20, edge=(3, 457), window=4, threads=8, seed=0)
+    @example(rank=1, edge=(1, 1), window=0, threads=2, seed=1)
+    def test_workspace_sums_equal_allocating_oracle(self, rank, edge, window, threads, seed):
         # every cell is one bincount over all entries in entry order, as
         # np.add.at sums them, so the sums equal the unchunked reference
         # exactly at any thread count; threads 8 is more workers than rank 1
-        # has columns
-        data = _random_tensor(80, 30, n_entries, seed=seed)
+        # has columns. edge (a, b) is a * B + b entries, B the rank's block
+        # length: 1, B - 1, B, B + 1 or 3B + 457
+        blocks, extra = edge
+        data = _random_tensor(80, 30, blocks * block_rows(rank) + extra, seed=seed)
         model = init_positive(80, 30, rank, window, seed=seed)
         sums = dyntf.trainer._epoch_sums(model, *compute_temporal(model), data, threads)
         ref = _reference_sums(model, data)
@@ -234,6 +232,20 @@ class TestEpochSums:
         nmu_epoch(model, data, HyperParams(0.01, 0.01), threads=threads)
         assert [a.tobytes() for a in (data.i, data.j, data.k, data.values)] == before
 
+    def test_epoch_peaks_at_its_sums_at_the_long_horizon_shape(self):
+        # longK_tune's training part (N = 200, K = 2000, 42 000 entries, rank
+        # 10, window 3) as a swarm worker runs it, at threads 1. The epoch's
+        # peak is that of _epoch_sums with its mix: the predictions, the run's
+        # two length-n buffers and the six totals, 4.84 n-arrays. With 8192-row
+        # gather buffers it peaked at 6.02; keeping the z totals once stacked, 5.38
+        data = _random_tensor(200, 2000, 42_000, seed=11)
+        model = init_positive(200, 2000, 10, 3, seed=1)
+        sums_peak, _ = traced_peak(
+            lambda: dyntf.trainer._epoch_sums(model, *compute_temporal(model), data, 1))
+        peak, _ = traced_peak(nmu_epoch, model, data, HyperParams(0.01, 0.01))
+        assert peak < 5 * data.n_entries * 8
+        assert peak <= 1.01 * sums_peak
+
     @pytest.mark.parametrize("threads", [1, 2])
     def test_peak_is_about_the_totals_at_many_nodes(self, threads):
         # many nodes, few entries: the peak is set by the six totals, not by
@@ -246,15 +258,16 @@ class TestEpochSums:
         peak, _ = traced_peak(dyntf.trainer._epoch_sums, model, z_hat, e_hat, data, threads)
         assert peak < 1.25 * (4 * n + 2 * k) * (rank + 1) * 8
 
-    @pytest.mark.parametrize("block, n_entries", [(1, 301), (7, 301), (_BLOCK, 2 * _BLOCK + 123),
+    @pytest.mark.parametrize("block, n_entries", [(1, 301), (7, 301), (8192, 2 * 8192 + 123),
                                                   (302, 301)])
     @pytest.mark.parametrize("threads", [1, 2])
     def test_matches_unchunked_reference(self, monkeypatch, block, n_entries, threads):
         # the predictions come in blocks through two reused buffers; no sum
-        # may depend on the block size
+        # may depend on the block length (`block` rows of rank 3, set in bytes)
         data = _random_tensor(60, 20, n_entries, seed=n_entries)
         model = init_positive(60, 20, 3, 4, seed=8)
-        monkeypatch.setattr(dyntf.model, "_BLOCK", block)
+        monkeypatch.setattr(dyntf.model, "_GATHER_BYTES", block * 8 * 3)
+        assert block_rows(3) == block
         sums = dyntf.trainer._epoch_sums(model, *compute_temporal(model), data, threads)
         ref = _reference_sums(model, data)
         assert sums.keys() == ref.keys()
