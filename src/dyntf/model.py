@@ -237,8 +237,10 @@ def _predict_blocks(model: FactorModel, z_hat: np.ndarray, e_hat: np.ndarray,
         # callers have checked the indices, so it clips nothing
         np.take(model.S, i, 0, rows, "clip")
         rows *= np.take(model.U, j, 0, other, "clip")
-        out[lo:lo + block] = (np.einsum("nd,nd->n", rows, np.take(z_hat, k, 0, other, "clip"))
-                              + model.a[i] + model.c[j] + e_hat[k])
+        part = out[lo:lo + block]  # the biases are added in place, one gather at a time
+        np.einsum("nd,nd->n", rows, np.take(z_hat, k, 0, other, "clip"), out=part)
+        for bias, at in ((model.a, i), (model.c, j), (e_hat, k)):
+            part += bias[at]
     return out
 
 
@@ -307,6 +309,8 @@ def model_from_dict(doc: dict) -> tuple[FactorModel, HyperParams]:
         if name not in doc:
             raise ValueError(f"model document lacks field {name!r}")
         try:
+            if not shape and isinstance(doc[name], bool):  # JSON true/false is no number
+                raise TypeError(f"got {doc[name]}")
             return np.asarray(doc[name], convert).reshape(shape) if shape else convert(doc[name])
         except (TypeError, ValueError) as exc:
             raise ValueError(f"model field {name!r} is malformed: {exc}") from None

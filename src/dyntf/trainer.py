@@ -22,14 +22,14 @@ no chunk grid or merge to fix their order and equal that reference bit
 for bit. The columns 0 .. rank (the last sums the biases) are cut into at
 most `threads` runs, which `_ordered_map`, the one place dyntf starts
 threads (the tuner's swarm uses it too), runs on a pool of at most
-rank + 1 workers; since one worker sums a whole column, the thread count
-changes no byte. Each run gets two buffers of one float per entry (16 B
-an entry, once per epoch), allocated by the caller before any worker
-starts, and writes its rows of the six (rank + 1, groups) totals. The
-entry arrays are read from the tensor's writable owners (`_columns`):
-numpy copies a read-only argument of np.take or np.bincount per call.
-The trained model is then written field by field, its arrays in blocks
-(`save_model`).
+rank + 1 workers, each call in a copy of the caller's context (numpy's
+error state with it); one worker sums a whole column, so the thread count
+changes no byte. Each run is one item: its columns and two buffers of one
+float per entry (16 B an entry, once per epoch) that the caller allocates.
+It writes its rows of the six (rank + 1, groups) totals. The entry arrays
+are read from the tensor's writable owners (`_columns`): numpy copies a
+read-only argument of np.take or np.bincount per call. The trained model
+is then written field by field, its arrays in blocks (`save_model`).
 
 `train` and the tuner's `adapt_train` are steps of one epoch loop,
 `_run_epochs`, which records the scores, stops and builds the report.
@@ -39,6 +39,7 @@ whose (K, 0) band makes that update a no-op.
 
 from __future__ import annotations
 
+import contextvars
 import operator
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -110,19 +111,16 @@ class TrainReport:
 
 
 def _ordered_map(fn, items, threads):
-    """Yield fn(item) for every item, in item order; the calls run on a pool
-    of `threads` workers whenever threads > 1. The first item whose call
-    raises, in item order, raises here."""
+    """[fn(item) for item in items], run on a pool of `threads` workers
+    whenever threads > 1, each call in a copy of the caller's context (numpy's
+    error state with it). The first item whose call raises, in order, raises."""
     if threads > 1:
+        context = contextvars.copy_context()  # pool threads start with an empty one
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            yield from pool.map(fn, items)
-    else:
-        yield from map(fn, items)
+            return list(pool.map(lambda item: context.copy().run(fn, item), items))
+    return [fn(item) for item in items]
 
 
-# divergence shows up as inf/nan accumulators and is reported through
-# DivergenceError, so the intermediate FP warnings are pure noise
-@np.errstate(over="ignore", invalid="ignore")
 def _epoch_sums(model, z_hat, e_hat, data, threads):
     ii, jj, kk, x = data._columns  # writable, so numpy copies none of them per call
     rank = model.rank
@@ -137,8 +135,8 @@ def _epoch_sums(model, z_hat, e_hat, data, threads):
     totals = {kind + group: np.empty((rank + 1, size))
               for group, (_, size, *_) in groups.items() for kind in ("num_", "den_")}
 
-    def run(columns):
-        rows, weighted = buffers[columns[0]]
+    def run(item):
+        columns, rows, weighted = item
         for d in columns:
             for group, (idx, size, (f, fi), (g, gi)) in groups.items():
                 if d < rank:
@@ -151,12 +149,12 @@ def _epoch_sums(model, z_hat, e_hat, data, threads):
                         weight = np.multiply(weight, rows, out=weighted)
                     totals[kind + group][d] = np.bincount(idx, weights=weight, minlength=size)
 
-    # each column is one worker's, so no sum depends on the thread count
-    runs = np.array_split(np.arange(rank + 1), min(threads, rank + 1))
-    # each run's two length-n buffers, allocated on this thread: allocated in the
+    # each column is one worker's, so no sum depends on the thread count. Each
+    # run's two length-n buffers are allocated on this thread: allocated in the
     # workers, they raised wide's train peak RSS by about 4.5 MB
-    buffers = {run[0]: (np.empty(len(x)), np.empty(len(x))) for run in runs}
-    list(_ordered_map(run, runs, len(runs)))  # each run writes its rows of the totals
+    runs = [(columns, np.empty(len(x)), np.empty(len(x)))
+            for columns in np.array_split(np.arange(rank + 1), min(threads, rank + 1))]
+    _ordered_map(run, runs, len(runs))  # each run writes its rows of the totals
     return {key: total.T for key, total in totals.items()}
 
 
@@ -165,7 +163,6 @@ def _ensure_finite(what: str, arr: np.ndarray) -> None:
         raise DivergenceError(f"non-finite {what}; model diverged")
 
 
-@np.errstate(over="ignore", invalid="ignore")
 def _mu_terms(model: FactorModel, data, hp: HyperParams, threads: int) -> dict:
     """{group: (num, den, mask)} for S, U, Z, a, c, e and the W band over the
     entries of `data`, mixing W once. den - num is the gradient of
@@ -228,6 +225,8 @@ def _mu_terms(model: FactorModel, data, hp: HyperParams, threads: int) -> dict:
     }
 
 
+# divergence shows up as inf/nan accumulators and is reported through
+# DivergenceError, so the FP warnings of the three public entry points are noise
 @np.errstate(over="ignore", invalid="ignore")
 def nmu_epoch(model: FactorModel, train: "SparseTensor", hp: HyperParams, *,
               threads: int = 1) -> FactorModel:
@@ -262,15 +261,14 @@ def nmu_epoch(model: FactorModel, train: "SparseTensor", hp: HyperParams, *,
     return model
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def validation_metrics(model: FactorModel, validation) -> tuple[float, float, float]:
     """(rmse, mae, h) of the model on a held-out entry set; a score that
     overflows is inf, without a warning, and the epoch loop calls it
     divergence."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        preds = predict_entries(model, validation.i, validation.j, validation.k)
-        pairs = np.column_stack((validation.values, preds))
-        r = rmse(pairs)
-        m = mae(pairs)
+    preds = predict_entries(model, validation.i, validation.j, validation.k)
+    pairs = np.column_stack((validation.values, preds))
+    r, m = rmse(pairs), mae(pairs)
     return r, m, (r + m) / 2.0
 
 
@@ -338,6 +336,7 @@ def train(model: FactorModel, train_set, validation, hp: HyperParams,
     return work, _run_epochs(step, config.max_epochs, config.tolerance, lambda: hp)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def analytic_gradient(model: FactorModel, entries, hp: HyperParams, coordinate) -> float:
     """Partial derivative of objective() with respect to one parameter.
 

@@ -225,8 +225,8 @@ def adapt_train(template: FactorModel, train, validation, dea: DEAConfig,
 
     def step():
         nonlocal h_last
-        scores = list(_ordered_map(lambda ind: evaluate_individual(ind, train, validation),
-                                   swarm.individuals, threads))
+        scores = _ordered_map(lambda ind: evaluate_individual(ind, train, validation),
+                              swarm.individuals, threads)
         h_values = [h for _, _, h in scores]
 
         # next-iteration vectors come from the evaluated population snapshot

@@ -274,9 +274,17 @@ class TestTrain:
         assert (workspace / "r.json").exists()
         assert not (workspace / "m.json").exists()
 
-    def test_divergence_exit_code(self, workspace):
-        assert _train(workspace, "--lambda", 0, "--lambda-b", 0,
-                      "--max-epochs", 5, "--init-scale", "1e200") == 4
+    def test_divergence_exit_code(self, workspace, capsys):
+        # the workers run under the caller's error state: the thread count
+        # changes neither the exit code nor a byte of stderr
+        errs = []
+        for threads in (1, 2):
+            capsys.readouterr()
+            assert _train(workspace, "--lambda", 0, "--lambda-b", 0, "--max-epochs", 5,
+                          "--init-scale", "1e200", "--threads", threads) == 4
+            errs.append(capsys.readouterr().err)
+        assert "RuntimeWarning" not in errs[0]
+        assert errs[0] == errs[1]
 
 
 @pytest.mark.parametrize("command, flags", [
@@ -436,6 +444,17 @@ class TestModelSchema:
                 assert run(*argv) == 3, (value, argv[0])
                 err = capsys.readouterr().err
                 assert err.count("error: ") == 1 and f"'{name}'" in err, (value, err)
+
+    @pytest.mark.parametrize("name", ["n_nodes", "n_slots", "rank", "window", "lambda",
+                                      "lambda_b"])
+    def test_json_boolean_is_not_a_number(self, tmp_path, capsys, name):
+        # bool is an int subclass: operator.index(True) is 1 and float(True) 1.0
+        m = dyntf.init_positive(3, 2, 1, 1, seed=0)
+        doc = dyntf.model_to_dict(m, dyntf.HyperParams(0.0, 0.0))
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps({**doc, name: True}))
+        assert self._predict(path) == 3
+        assert capsys.readouterr().err == f"error: model field '{name}' is malformed: got True\n"
 
     def test_deeply_nested_json_is_data_error(self, tmp_path, capsys):
         path = tmp_path / "m.json"

@@ -5,6 +5,11 @@ the way pyflakes' F401 check does: a name bound by an import must appear as
 a name somewhere else in the module. `from __future__` imports and import
 statements whose first line carries `# noqa: F401` are exempt, as they are
 for the linter; `__init__.py` re-exports its imports and is not walked.
+
+A second walk keeps one thread owner: `ThreadPoolExecutor` and `Thread` are
+named, by name or attribute, only inside `trainer._ordered_map`, which runs
+each call in a copy of the caller's context; a thread started elsewhere
+would lose numpy's error state.
 """
 
 import ast
@@ -40,3 +45,40 @@ def test_every_import_is_used(module):
 def test_a_stray_import_is_caught():
     source = "from itertools import chain\nimport numpy as np\n\nx = np.zeros(1)\n"
     assert unused_imports(source) == ["chain (line 1)"]
+
+
+THREAD_STARTERS = {"ThreadPoolExecutor", "Thread"}
+
+
+def thread_starters(source: str) -> list[tuple[str, int]]:
+    """(scope, line) of every use of a thread starter, by name or attribute,
+    and of every import that renames one; scope is the dotted name of the
+    enclosing classes and functions, "" at module level."""
+    found = []
+
+    def walk(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                walk(child, f"{scope}.{child.name}".lstrip("."))
+                continue
+            if (isinstance(child, ast.Name) and child.id in THREAD_STARTERS
+                    or isinstance(child, ast.Attribute) and child.attr in THREAD_STARTERS
+                    or isinstance(child, ast.alias) and child.name in THREAD_STARTERS
+                    and child.asname):
+                found.append((scope, child.lineno))
+            walk(child, scope)
+
+    walk(ast.parse(source), "")
+    return found
+
+
+def test_only_ordered_map_starts_threads():
+    scopes = {(path.name, scope) for path in SRC.glob("*.py")
+              for scope, _ in thread_starters(path.read_text(encoding="utf-8"))}
+    assert scopes == {("trainer.py", "_ordered_map")}
+
+
+def test_a_stray_thread_is_caught():
+    source = ("import threading\nfrom threading import Thread as T\n\n"
+              "class Pool:\n    def start(self, fn):\n        threading.Thread(target=fn).start()\n")
+    assert thread_starters(source) == [("", 2), ("Pool.start", 6)]

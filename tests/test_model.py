@@ -258,6 +258,19 @@ class TestPredict:
             peak, _ = traced_peak(predict_entries, m, *idx)
             assert peak < 8 * n + 2.5 * dyntf.model._GATHER_BYTES, rank
 
+    @pytest.mark.parametrize("rank, buffers", [(1, 3.25), (2, 2.75)])
+    def test_low_rank_block_adds_its_biases_in_place(self, rank, buffers):
+        # at rank 1 a block is 32 768 entries, so each of its 1-D
+        # temporaries weighs half a gather buffer: adding the biases into the
+        # output one gather at a time reads 3.0 and 2.5 buffers above the
+        # output, a sum of temporaries 4.0 and 3.5
+        rng = np.random.default_rng(3)
+        n = 100_000
+        idx = (rng.integers(0, 400, n), rng.integers(0, 400, n), rng.integers(0, 50, n))
+        m = init_positive(400, 50, rank, 3, seed=1)
+        peak, _ = traced_peak(predict_entries, m, *idx)
+        assert peak < 8 * n + buffers * dyntf.model._GATHER_BYTES
+
 
 class TestObjective:
     def test_perfect_fit_no_regularization(self):

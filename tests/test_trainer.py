@@ -1,5 +1,7 @@
 import json
 import time
+import warnings
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -155,6 +157,31 @@ class TestOrderedMap:
             assert done.index(3) < done.index(1)  # item 3 raised first
 
 
+class TestThreadBoundary:
+    # numpy keeps its error state in a context variable, which a pool thread
+    # does not inherit; _ordered_map hands each call a copy of the caller's
+
+    @pytest.mark.parametrize("threads", [1, 3])
+    def test_pool_calls_run_under_the_callers_error_state(self, threads):
+        with np.errstate(over="ignore", invalid="call"):
+            caller = np.geterr()
+            seen = dyntf.trainer._ordered_map(lambda _: np.geterr(), range(4), threads)
+        assert caller["over"] == "ignore" and caller["invalid"] == "call"
+        assert seen == [caller] * 4
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_overflowing_epoch_diverges_without_a_warning(self, threads):
+        # S * U overflows in the Z group's rows, which a worker computes at 2 threads
+        model = init_positive(30, 10, 2, 3, seed=1)
+        model.S *= 1e200
+        model.U *= 1e200
+        data = _random_tensor(30, 10, 500, seed=1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(DivergenceError, match="non-finite accumulator"):
+                nmu_epoch(model, data, HyperParams(0.0, 0.0), threads=threads)
+
+
 def _random_tensor(n_nodes, n_slots, n_entries, seed):
     rng = np.random.default_rng(seed)
     flat = rng.choice(n_nodes * n_nodes * n_slots, size=n_entries, replace=False)
@@ -290,8 +317,12 @@ class TestEpochSums:
         nmu_epoch(init_positive(30, 10, 2, 3, seed=1), data, HyperParams(0.01, 0.01), threads=64)
         [(runs, workers)] = handed
         assert 1 <= len(runs) <= 3 and workers <= 3
-        assert all(len(run) > 0 for run in runs)
-        assert sorted(np.concatenate(runs).tolist()) == [0, 1, 2]
+        assert all(len(columns) > 0 for columns, _, _ in runs)
+        assert sorted(np.concatenate([columns for columns, _, _ in runs]).tolist()) == [0, 1, 2]
+        # each run writes into two length-n buffers of its own
+        buffers = [buf for _, rows, weighted in runs for buf in (rows, weighted)]
+        assert all(buf.shape == (500,) for buf in buffers)
+        assert not any(np.shares_memory(a, b) for a, b in combinations(buffers, 2))
 
     def test_real_chunk_grid_thread_count_does_not_change_model_bytes(self):
         # more than three prediction blocks, the last one short, and rank 4:
