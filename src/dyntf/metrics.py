@@ -2,7 +2,7 @@
 
 The metric functions take a sequence of (actual, predicted) pairs;
 `convergence_rounds` takes a per-epoch trace and its tolerance. All are
-pure: no state, safe for concurrent use.
+pure: no state, safe to call from several threads at once.
 """
 
 from __future__ import annotations

@@ -21,10 +21,10 @@ rows in entry order, as an unchunked `np.add.at` does, so the sums need
 no chunk grid or merge to fix their order and equal that reference bit
 for bit. The columns 0 .. rank (the last sums the biases) are cut into at
 most `threads` runs, which `_ordered_map`, the one place dyntf starts
-threads (the tuner's swarm uses it too), runs on a pool of at most
-rank + 1 workers, each call in a copy of the caller's context (numpy's
-error state with it); one worker sums a whole column, so the thread count
-changes no byte. Each run is one item: its columns and two buffers of one
+threads (the tuner's swarm uses it too), runs on at most rank + 1
+threads, each call in a copy of the caller's context (numpy's error state
+with it); one thread sums a whole column, so the thread count changes no
+byte. Each run is one item: its columns and two buffers of one
 float per entry (16 B an entry, once per epoch) that the caller allocates.
 It writes its rows of the six (rank + 1, groups) totals. The entry arrays
 are read from the tensor's writable owners (`_columns`): numpy copies a
@@ -41,7 +41,7 @@ from __future__ import annotations
 
 import contextvars
 import operator
-from concurrent.futures import ThreadPoolExecutor
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -111,14 +111,30 @@ class TrainReport:
 
 
 def _ordered_map(fn, items, threads):
-    """[fn(item) for item in items], run on a pool of `threads` workers
-    whenever threads > 1, each call in a copy of the caller's context (numpy's
-    error state with it). The first item whose call raises, in order, raises."""
-    if threads > 1:
-        context = contextvars.copy_context()  # pool threads start with an empty one
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(lambda item: context.copy().run(fn, item), items))
-    return [fn(item) for item in items]
+    """[fn(item) for item in items]; at T = min(threads, len(items)) >= 2, item p runs
+    on thread p mod T in a copy of the caller's context (numpy's error state with it).
+    A thread stops at its first exception; the first in item order raises."""
+    n_threads = min(threads, len(items))
+    if n_threads < 2:
+        return [fn(item) for item in items]
+    context = contextvars.copy_context()  # a new thread starts with an empty one
+    results, errors = [None] * len(items), {}
+
+    def work(first):
+        try:
+            for p in range(first, len(items), n_threads):
+                results[p] = context.copy().run(fn, items[p])
+        except BaseException as exc:
+            errors[p] = exc
+
+    workers = [threading.Thread(target=work, args=(t,)) for t in range(n_threads)]
+    for worker in workers:
+        worker.start()
+    for worker in workers:
+        worker.join()
+    if errors:
+        raise errors[min(errors)]  # every earlier item on its thread has run
+    return results
 
 
 def _epoch_sums(model, z_hat, e_hat, data, threads):
@@ -149,7 +165,7 @@ def _epoch_sums(model, z_hat, e_hat, data, threads):
                         weight = np.multiply(weight, rows, out=weighted)
                     totals[kind + group][d] = np.bincount(idx, weights=weight, minlength=size)
 
-    # each column is one worker's, so no sum depends on the thread count. Each
+    # each column is one thread's, so no sum depends on the thread count. Each
     # run's two length-n buffers are allocated on this thread: allocated in the
     # workers, they raised wide's train peak RSS by about 4.5 MB
     runs = [(columns, np.empty(len(x)), np.empty(len(x)))

@@ -7,12 +7,20 @@ statements whose first line carries `# noqa: F401` are exempt, as they are
 for the linter; `__init__.py` re-exports its imports and is not walked.
 
 A second walk keeps one thread owner: `ThreadPoolExecutor` and `Thread` are
-named, by name or attribute, only inside `trainer._ordered_map`, which runs
-each call in a copy of the caller's context; a thread started elsewhere
-would lose numpy's error state.
+named, by name or attribute, only inside `trainer._ordered_map`, which starts
+plain `threading` threads and runs each call in a copy of the caller's
+context; a thread started elsewhere would lose numpy's error state.
+
+The import footprint is guarded too: no module imports `concurrent`, at any
+depth, and a fresh interpreter that imports `dyntf.cli` has not loaded
+`concurrent.futures` or the `logging` and `queue` it pulls in. Each dyntf
+process would pay that import in RSS and start-up time.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -82,3 +90,33 @@ def test_a_stray_thread_is_caught():
     source = ("import threading\nfrom threading import Thread as T\n\n"
               "class Pool:\n    def start(self, fn):\n        threading.Thread(target=fn).start()\n")
     assert thread_starters(source) == [("", 2), ("Pool.start", 6)]
+
+
+def concurrent_imports(source: str) -> list[int]:
+    """Lines of every import of `concurrent` or one of its modules, at any depth."""
+    return [node.lineno for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Import)
+            and any(alias.name.split(".")[0] == "concurrent" for alias in node.names)
+            or isinstance(node, ast.ImportFrom) and node.level == 0
+            and node.module.split(".")[0] == "concurrent"]
+
+
+def test_no_module_imports_concurrent():
+    found = {path.name: concurrent_imports(path.read_text(encoding="utf-8"))
+             for path in SRC.glob("*.py")}
+    assert {name: lines for name, lines in found.items() if lines} == {}
+
+
+def test_a_stray_concurrent_import_is_caught():
+    source = ("import concurrent.futures as cf\n\n"
+              "def run(fn):\n    from concurrent.futures import ThreadPoolExecutor\n")
+    assert concurrent_imports(source) == [1, 4]
+
+
+def test_cli_import_loads_no_thread_pool_modules():
+    code = "import sys, dyntf.cli; print(*sorted(sys.modules))"
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    loaded = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                            capture_output=True, text=True).stdout.split()
+    assert "dyntf.cli" in loaded
+    assert {"concurrent.futures", "logging", "queue"}.isdisjoint(loaded)

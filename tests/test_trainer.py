@@ -1,4 +1,5 @@
 import json
+import threading
 import time
 import warnings
 from itertools import combinations
@@ -115,20 +116,21 @@ class TestNmuEpoch:
             train(m, data, data, HyperParams(0.0, 0.0), TrainConfig(max_epochs=3))
 
     def test_thread_count_does_not_change_results(self, fixture_split):
-        # rank 2: three threads run one column each
+        # rank 2: three threads run one column each; four ask for more threads
+        # than there are columns
         hp = HyperParams(0.01, 0.01)
         results = []
-        for threads in (1, 3):
+        for threads in (1, 3, 4):
             m = init_positive(50, 20, 2, 19, seed=6)
             for _ in range(5):
                 nmu_epoch(m, fixture_split.train, hp, threads=threads)
             results.append(m)
-        assert _max_param_change(results[0], results[1]) == 0.0
+        assert [_max_param_change(results[0], m) for m in results[1:]] == [0.0, 0.0]
 
 
 class TestOrderedMap:
     # the epoch's column runs and the tuner's swarm both take their results
-    # in item order; items 0 and 1 sleep, so on a pool the later ones finish first
+    # in item order; items 0 and 1 sleep, so on threads the later ones finish first
 
     @staticmethod
     def _late_first(n, done, fail=()):
@@ -151,15 +153,16 @@ class TestOrderedMap:
     def test_first_failing_item_in_order_raises(self, threads):
         done = []
         with pytest.raises(ValueError, match="^item 1$"):
-            list(dyntf.trainer._ordered_map(lambda n: self._late_first(n, done, (1, 3)),
+            list(dyntf.trainer._ordered_map(lambda n: self._late_first(n, done, (1, 2)),
                                             range(5), threads))
         if threads > 1:
-            assert done.index(3) < done.index(1)  # item 3 raised first
+            assert done.index(2) < done.index(1)  # item 2 raised first, on its own thread
 
 
 class TestThreadBoundary:
-    # numpy keeps its error state in a context variable, which a pool thread
-    # does not inherit; _ordered_map hands each call a copy of the caller's
+    # numpy keeps its error state in a context variable, which a new thread
+    # does not inherit; _ordered_map hands each call a copy of the caller's.
+    # It starts min(threads, items) threads, and none for a single item
 
     @pytest.mark.parametrize("threads", [1, 3])
     def test_pool_calls_run_under_the_callers_error_state(self, threads):
@@ -168,6 +171,37 @@ class TestThreadBoundary:
             seen = dyntf.trainer._ordered_map(lambda _: np.geterr(), range(4), threads)
         assert caller["over"] == "ignore" and caller["invalid"] == "call"
         assert seen == [caller] * 4
+
+    def test_one_item_runs_on_the_calling_thread(self):
+        caller = threading.get_ident()
+        assert dyntf.trainer._ordered_map(lambda _: threading.get_ident(), [0], 4) == [caller]
+
+    def test_threads_are_capped_by_the_items(self):
+        seen = dyntf.trainer._ordered_map(lambda _: threading.get_ident(), range(2), 8)
+        assert len(set(seen)) <= 2
+
+    def test_items_are_dealt_to_threads_other_than_the_caller(self):
+        # items 0 and 1 meet at the barrier, so both threads are alive at once
+        # and their idents are distinct; a sequential run breaks the barrier
+        barrier = threading.Barrier(2)
+
+        def ident(n):
+            if n < 2:
+                barrier.wait(timeout=5)
+            return threading.get_ident()
+
+        seen = dyntf.trainer._ordered_map(ident, range(5), 2)
+        assert len(set(seen)) == 2 and threading.get_ident() not in seen
+        assert seen[0::2] == [seen[0]] * 3 and seen[1::2] == [seen[1]] * 2  # p mod 2
+
+    def test_no_thread_outlives_the_call(self):
+        late_first = TestOrderedMap._late_first
+        before = threading.active_count()
+        dyntf.trainer._ordered_map(lambda n: late_first(n, []), range(5), 3)
+        assert threading.active_count() == before
+        with pytest.raises(ValueError, match="^item 2$"):  # raised while items 0 and 1 sleep
+            dyntf.trainer._ordered_map(lambda n: late_first(n, [], (2,)), range(5), 3)
+        assert threading.active_count() == before
 
     @pytest.mark.parametrize("threads", [1, 2])
     def test_overflowing_epoch_diverges_without_a_warning(self, threads):
