@@ -9,9 +9,9 @@ evolution swarm.
 
 from .errors import DataError, DivergenceError
 from .metrics import convergence_rounds, h_score, mae, rmse
-from .model import (FactorModel, HyperParams, TemporalWeights, band_indices,
-                    compute_temporal, init_positive, load_model, model_from_dict,
-                    model_to_dict, objective, predict, predict_entries, save_model)
+from .model import (FactorModel, HyperParams, band_indices, compute_temporal,
+                    init_positive, load_model, model_from_dict, model_to_dict,
+                    objective, predict, predict_entries, save_model)
 from .tensor import (DatasetSplit, DatasetStats, SparseTensor, compute_stats,
                      generate_synthetic, load_coo, save_coo, split)
 from .trainer import (TrainConfig, TrainReport, analytic_gradient, nmu_epoch,
@@ -25,7 +25,7 @@ __version__ = "0.1.0"
 __all__ = [
     "DataError", "DivergenceError",
     "convergence_rounds", "h_score", "mae", "rmse",
-    "FactorModel", "HyperParams", "TemporalWeights",
+    "FactorModel", "HyperParams",
     "band_indices", "compute_temporal", "init_positive", "load_model",
     "model_from_dict", "model_to_dict", "objective", "predict",
     "predict_entries", "save_model",

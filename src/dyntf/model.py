@@ -18,9 +18,10 @@ k - l > window. window = K - 1 allows the full lower triangle; window = 0
 pins W to the identity and reduces the model to a plain biased
 factorization.
 
-W is stored as its band, a (K, window) array with band[k, m - 1] =
-w[k, k - m]; the unit diagonal and the zeros are implied. Two loops own
-the lag-by-lag contractions with W, each O(K * window * D):
+W is stored as its band, the (K, window) array FactorModel.W with
+W[k, m - 1] = w[k, k - m]; the unit diagonal and the zeros are implied,
+and W is validated and stepped like the other six parameter arrays. Two
+loops own the lag-by-lag contractions with W, each O(K * window * D):
 `compute_temporal` mixes W @ [Z | e] and the trainer's `_mu_terms` carries
 its slot sums back through W.T, so no caller hands a mix in. Predictions
 gather their rows into two buffers of 256 KiB each, whatever the rank.
@@ -39,29 +40,6 @@ import numpy as np
 from .atomic import write_json
 
 _GATHER_BYTES = 256 << 10  # bytes of each of _predict_blocks' two row buffers
-
-
-@dataclass
-class TemporalWeights:
-    """Lower-triangular mixing weights stored by band, band[k, m - 1] =
-    w[k, k - m]. The band's width is the window. Invariants: window in
-    [0, K-1], every entry nonnegative and finite, and exactly 0 where
-    k < m."""
-
-    band: np.ndarray
-
-    @property
-    def window(self) -> int:
-        return self.band.shape[1]
-
-    def validate(self) -> None:
-        band, window = self.band, self.window
-        if not (0 <= window <= max(band.shape[0] - 1, 0)):
-            raise ValueError("window must lie in [0, K-1]")
-        if not np.isfinite(band).all() or (band < 0).any():
-            raise ValueError("temporal weights must be nonnegative and finite")
-        if np.triu(band[:window]).any():
-            raise ValueError("temporal weights before slot 0 must be exactly 0")
 
 
 @dataclass
@@ -88,7 +66,7 @@ class FactorModel:
     a: np.ndarray
     c: np.ndarray
     e: np.ndarray
-    weights: TemporalWeights
+    W: np.ndarray  # the band of w: W[k, m - 1] = w[k, k - m], window columns
 
     @property
     def n_nodes(self) -> int:
@@ -104,27 +82,34 @@ class FactorModel:
 
     @property
     def window(self) -> int:
-        return self.weights.window
+        return self.W.shape[1]
 
     def copy(self) -> "FactorModel":
         return copy.deepcopy(self)
 
     def validate(self) -> None:
+        arrays = {name: getattr(self, name) for name in ("S", "U", "Z", "a", "c", "e", "W")}
+        for name, arr in arrays.items():
+            ndim = 1 if name in ("a", "c", "e") else 2
+            if arr.ndim != ndim:
+                raise ValueError(f"{name} must have {ndim} dimensions, not {arr.ndim}")
         n, d = self.S.shape
         k = self.Z.shape[0]
         if self.U.shape != (n, d) or self.Z.shape != (k, d):
             raise ValueError("factor matrix dimensions disagree")
         if self.a.shape != (n,) or self.c.shape != (n,) or self.e.shape != (k,):
             raise ValueError("bias vector dimensions disagree")
-        if self.weights.band.shape[:1] != (k,):
+        if self.W.shape[0] != k:
             raise ValueError("temporal weight band must have K rows")
-        for name, arr in (("S", self.S), ("U", self.U), ("Z", self.Z),
-                          ("a", self.a), ("c", self.c), ("e", self.e)):
+        if not (0 <= self.window <= max(k - 1, 0)):
+            raise ValueError("window must lie in [0, K-1]")
+        for name, arr in arrays.items():
             if not np.isfinite(arr).all():
                 raise ValueError(f"{name} contains non-finite values")
             if (arr < 0).any():
                 raise ValueError(f"{name} contains negative values")
-        self.weights.validate()
+        if np.triu(self.W[:self.window]).any():
+            raise ValueError("temporal weights before slot 0 must be exactly 0")
 
 
 def band_indices(n_slots: int, window: int):
@@ -175,8 +160,7 @@ def init_positive(n_nodes: int, n_slots: int, rank: int, window: int,
     band = np.zeros((n_slots, window))
     ks, ls = band_indices(n_slots, window)
     band[ks, ks - ls - 1] = positive(ks.size)
-    return FactorModel(S=s, U=u, Z=z, a=a, c=c, e=e,
-                       weights=TemporalWeights(band=band))
+    return FactorModel(S=s, U=u, Z=z, a=a, c=c, e=e, W=band)
 
 
 def check_memory(n_nodes: int, n_slots: int, rank: int, window: int,
@@ -198,7 +182,7 @@ def compute_temporal(model: FactorModel) -> tuple[np.ndarray, np.ndarray]:
     ze = np.column_stack((model.Z, model.e))
     mixed = ze.copy()
     for m in range(1, model.window + 1):  # lag m adds w[k, k - m] * ze[k - m]
-        mixed[m:] += model.weights.band[m:, m - 1, None] * ze[:-m]
+        mixed[m:] += model.W[m:, m - 1, None] * ze[:-m]
     return mixed[:, :-1], mixed[:, -1]
 
 
@@ -293,7 +277,7 @@ def _fields(model: FactorModel, hp: HyperParams) -> dict:
         "a": model.a,
         "c": model.c,
         "e": model.e,
-        "W_band": model.weights.band[ks, ks - ls - 1],
+        "W_band": model.W[ks, ks - ls - 1],
         "lambda": float(hp.lam),
         "lambda_b": float(hp.lam_b),
     }
@@ -329,8 +313,7 @@ def model_from_dict(doc: dict) -> tuple[FactorModel, HyperParams]:
     band[ks, ks - ls - 1] = values
     model = FactorModel(
         S=field("S", float, n, d), U=field("U", float, n, d), Z=field("Z", float, k, d),
-        a=field("a", float, n), c=field("c", float, n), e=e,
-        weights=TemporalWeights(band=band),
+        a=field("a", float, n), c=field("c", float, n), e=e, W=band,
     )
     model.validate()
     return model, HyperParams(lam=field("lambda", float), lam_b=field("lambda_b", float))

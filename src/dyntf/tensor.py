@@ -24,7 +24,7 @@ import numpy as np
 
 from .atomic import open_atomic
 from .errors import DataError
-from .model import FactorModel, TemporalWeights, predict_entries
+from .model import FactorModel, predict_entries
 
 
 MAX_DIM = 2**63 - 1  # the largest N or K: every in-bounds index fits the int64 index arrays
@@ -412,8 +412,7 @@ def generate_synthetic(n_nodes: int, n_slots: int, true_rank: int, density: floa
     c = rng.uniform(0.05, 0.25, size=n_nodes)
     e = rng.uniform(0.05, 0.25, size=n_slots)
 
-    truth = FactorModel(S=s, U=u, Z=z, a=a, c=c, e=e,
-                        weights=TemporalWeights(band=np.zeros((n_slots, 0))))
+    truth = FactorModel(S=s, U=u, Z=z, a=a, c=c, e=e, W=np.zeros((n_slots, 0)))
 
     pos = _sample_positions(rng, total, count)
     per_node = n_nodes * n_slots

@@ -218,7 +218,7 @@ def _mu_terms(model: FactorModel, data, hp: HyperParams, threads: int) -> dict:
     slot[:, 1, -1] += lam_b * e_hat * counts_k
     back = slot.copy()
     for m in range(1, window + 1):  # fused with the band loop below, both ran 6-18 % slower
-        back[:-m] += model.weights.band[m:, m - 1, None, None] * slot[m:]
+        back[:-m] += model.W[m:, m - 1, None, None] * slot[m:]
     # lag m pairs slot k's sums with [Z | e][k - m]; rows k < m stay 0
     ze = np.column_stack((model.Z, model.e))
     band = np.zeros((n_slots, 2, window))
@@ -255,8 +255,7 @@ def nmu_epoch(model: FactorModel, train: "SparseTensor", hp: HyperParams, *,
     the updated predictions could overflow.
     """
     terms = _mu_terms(model, train, hp, threads)
-    old = {"S": model.S, "U": model.U, "Z": model.Z, "a": model.a, "c": model.c,
-           "e": model.e, "W": model.weights.band}
+    old = {name: getattr(model, name) for name in terms}
     new = {}
     for name, (num, den, mask) in terms.items():
         _ensure_finite(f"accumulator in {name} update", num)
@@ -271,7 +270,6 @@ def nmu_epoch(model: FactorModel, train: "SparseTensor", hp: HyperParams, *,
             + new["a"].max() + new["c"].max() + new["e"].max() * w_row)
     _ensure_finite("prediction bound after the update", peak)
 
-    model.weights.band = new.pop("W")
     for name, arr in new.items():
         setattr(model, name, arr)
     return model

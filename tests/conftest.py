@@ -50,12 +50,12 @@ def block_rows(rank):
     return max(1, dyntf.model._GATHER_BYTES // (8 * rank))
 
 
-def dense_w(weights):
-    """The dense K x K W of a TemporalWeights band, read-only: the unit
-    diagonal, w[k, k - m] = band[k, m - 1] inside the window, 0 elsewhere."""
-    ks, ls = dyntf.band_indices(len(weights.band), weights.window)
-    w = np.eye(len(weights.band))
-    w[ks, ls] = weights.band[ks, ks - ls - 1]
+def dense_w(band):
+    """The dense K x K W of a (K, window) band such as FactorModel.W, read-only:
+    the unit diagonal, w[k, k - m] = band[k, m - 1] inside the window, 0 elsewhere."""
+    ks, ls = dyntf.band_indices(*band.shape)
+    w = np.eye(len(band))
+    w[ks, ls] = band[ks, ks - ls - 1]
     w.flags.writeable = False
     return w
 

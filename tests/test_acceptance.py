@@ -63,7 +63,7 @@ def _perturbed(model, coord, delta):
     elif kind == "e":
         m.e[coord[1]] += delta
     else:
-        m.weights.band[coord[1], coord[1] - coord[2] - 1] += delta
+        m.W[coord[1], coord[1] - coord[2] - 1] += delta
     return m
 
 
@@ -111,9 +111,9 @@ def test_criterion_2_nonnegativity_and_structure():
     hp = HyperParams(0.01, 0.01)
     for _ in range(200):
         nmu_epoch(m, sp.train, hp)
-    for arr in (m.S, m.U, m.Z, m.a, m.c, m.e, dense_w(m.weights)):
+    for arr in (m.S, m.U, m.Z, m.a, m.c, m.e, dense_w(m.W)):
         assert arr.min() >= 0.0
-    w = dense_w(m.weights)
+    w = dense_w(m.W)
     assert (np.diag(w) == 1.0).all()
     rows, cols = np.indices(w.shape)
     inadmissible = (cols > rows) | (rows - cols > 19)
@@ -133,7 +133,7 @@ def test_criterion_3_ground_truth_fixed_point():
     deltas = [np.max(np.abs(x - y)) if x.size else 0.0 for x, y in
               ((work.S, truth.S), (work.U, truth.U), (work.Z, truth.Z),
                (work.a, truth.a), (work.c, truth.c), (work.e, truth.e),
-               (dense_w(work.weights), dense_w(truth.weights)))]
+               (dense_w(work.W), dense_w(truth.W)))]
     assert max(deltas) <= 1e-12
     _, report = train(truth, sp.train, sp.validation, hp,
                       TrainConfig(max_epochs=50, tolerance=1e-5))

@@ -28,14 +28,14 @@ N, K, D = 5, 7, 3
 
 
 def dense_temporal(model):
-    w = dense_w(model.weights)
+    w = dense_w(model.W)
     return w @ model.Z, w @ model.e
 
 
 def dense_epoch(model, data, hp, denom_floor=1e-12):
     """One att-mode multiplicative update with a dense W: the new S, U, Z,
     a, c, e and the new dense W, by name."""
-    w = dense_w(model.weights)
+    w = dense_w(model.W)
     window = model.window
     z_hat, e_hat = dense_temporal(model)
     sums = dyntf.trainer._epoch_sums(model, z_hat, e_hat, data, 1)
@@ -108,8 +108,8 @@ def test_nmu_epoch_matches_dense(window, seed):
     for name in ("S", "U", "Z", "a", "c", "e"):
         np.testing.assert_allclose(getattr(got, name), ref[name],
                                    rtol=1e-12, atol=0, err_msg=name)
-    np.testing.assert_allclose(dense_w(got.weights), ref["W"], rtol=1e-12, atol=0)
-    got.weights.validate()
+    np.testing.assert_allclose(dense_w(got.W), ref["W"], rtol=1e-12, atol=0)
+    got.validate()
 
 
 def test_dense_model_file_resaves_byte_identical(tmp_path):

@@ -211,7 +211,7 @@ class TestTrain:
                       "--window", 5) == 0
         model, _ = dyntf.load_model(workspace / "m.json")
         assert model.window == 0
-        assert np.array_equal(dense_w(model.weights), np.eye(10))
+        assert np.array_equal(dense_w(model.W), np.eye(10))
 
     def test_adapt_mode_report(self, workspace):
         assert _train(workspace, "--adapt", "--pop", 5, "--max-epochs", 8) == 0
@@ -381,7 +381,7 @@ class TestPredict:
         m = dyntf.FactorModel(
             S=np.zeros((3, 1)), U=np.zeros((3, 1)), Z=np.zeros((2, 1)),
             a=np.full(3, 1.0), c=np.full(3, 2.0), e=np.full(2, 3.0),
-            weights=dyntf.TemporalWeights(band=np.zeros((2, 0))))
+            W=np.zeros((2, 0)))
         path = tmp_path / "m.json"
         dyntf.save_model(m, dyntf.HyperParams(0.0, 0.0), path)
         assert run("predict", "--model", path, "--i", 0, "--j", 1, "--k", 0) == 0
@@ -412,7 +412,7 @@ def test_overflowing_model_output_is_data_error(tmp_path, capsys, command, named
     m = dyntf.FactorModel(
         S=np.full((3, 1), 1e160), U=np.full((3, 1), 1e160), Z=np.ones((2, 1)),
         a=np.ones(3), c=np.ones(3), e=np.ones(2),
-        weights=dyntf.TemporalWeights(band=np.zeros((2, 0))))
+        W=np.zeros((2, 0)))
     dyntf.save_model(m, dyntf.HyperParams(0.0, 0.0), tmp_path / "m.json")
     (tmp_path / "te.coo").write_text("%dims 3 3 2\n0 1 0 1.0\n2 0 1 2.0\n")
     args = {"evaluate": ["--test", tmp_path / "te.coo", "--report", tmp_path / "ev.json"],
@@ -469,6 +469,23 @@ class TestModelSchema:
         path.write_text("[1, 2, 3]\n")
         assert self._predict(path) == 3
         assert "JSON object" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name", ["S", "U", "Z", "a", "c", "e", "W_band"])
+    def test_bad_value_in_any_array_is_named(self, tmp_path, capsys, name):
+        m = dyntf.init_positive(3, 2, 1, 1, seed=0)
+        doc = dyntf.model_to_dict(m, dyntf.HyperParams(0.0, 0.0))
+        path = tmp_path / "m.json"
+        commands = (["predict", "--model", path, "--i", 0, "--j", 0, "--k", 0],
+                    ["evaluate", "--model", path, "--test", tmp_path / "unread.coo",
+                     "--report", tmp_path / "r.json"])
+        array = name.removesuffix("_band")  # the model's W is stored as "W_band"
+        for value, what in ((-0.5, "negative"), (math.nan, "non-finite"),
+                            (math.inf, "non-finite")):
+            path.write_text(json.dumps({**doc, name: [value, *doc[name][1:]]}))  # NaN, Infinity
+            for argv in commands:
+                assert run(*argv) == 3, (value, argv[0])
+                assert capsys.readouterr().err == f"error: {array} contains {what} values\n"
+        assert os.listdir(tmp_path) == ["m.json"]
 
     def test_missing_field_is_named(self, tmp_path, capsys):
         m = dyntf.init_positive(3, 2, 1, 1, seed=0)
@@ -539,7 +556,7 @@ def _fail_model(path):
     m = dyntf.FactorModel(
         S=np.ones((2, 1)), U=np.ones((2, 1)), Z=np.ones((1, 1)),
         a=np.ones(2), c=np.ones(2), e=np.ones(1),
-        weights=dyntf.TemporalWeights(band=np.zeros((1, 0))))
+        W=np.zeros((1, 0)))
     # the document fails to encode after its temporary file is opened
     dyntf.save_model(m, dyntf.HyperParams(0.0, 0.0), path, extra={"bad": object()})
 

@@ -5,6 +5,9 @@ the way pyflakes' F401 check does: a name bound by an import must appear as
 a name somewhere else in the module. `from __future__` imports and import
 statements whose first line carries `# noqa: F401` are exempt, as they are
 for the linter; `__init__.py` re-exports its imports and is not walked.
+Instead its `__all__` must list each name it imports, once, and nothing
+else but `__version__`, and every entry must resolve, so a removed public
+name cannot stay listed.
 
 A second walk keeps one thread owner: `ThreadPoolExecutor` and `Thread` are
 named, by name or attribute, only inside `trainer._ordered_map`, which starts
@@ -53,6 +56,33 @@ def test_every_import_is_used(module):
 def test_a_stray_import_is_caught():
     source = "from itertools import chain\nimport numpy as np\n\nx = np.zeros(1)\n"
     assert unused_imports(source) == ["chain (line 1)"]
+
+
+def export_problems(source: str) -> list[str]:
+    """What is wrong with a package's `__all__`: a name listed twice, an
+    imported name left out, or an entry nothing imports (`__version__` is
+    assigned, not imported)."""
+    tree = ast.parse(source)
+    imported = {alias.asname or alias.name.split(".")[0] for node in tree.body
+                if isinstance(node, (ast.Import, ast.ImportFrom)) for alias in node.names}
+    listed = next(ast.literal_eval(node.value) for node in tree.body
+                  if isinstance(node, ast.Assign) and node.targets[0].id == "__all__")
+    return ([f"{name} listed twice" for name in sorted(set(listed)) if listed.count(name) > 1]
+            + [f"{name} not listed" for name in sorted(imported - set(listed))]
+            + [f"{name} not imported"
+               for name in sorted(set(listed) - imported - {"__version__"})])
+
+
+def test_init_exports_exactly_its_imports():
+    assert export_problems((SRC / "__init__.py").read_text(encoding="utf-8")) == []
+    import dyntf
+    assert [name for name in dyntf.__all__ if not hasattr(dyntf, name)] == []
+
+
+def test_a_stale_export_is_caught():
+    source = ("from .a import f, g\n\n__version__ = \"1\"\n"
+              "__all__ = [\"f\", \"h\", \"f\", \"__version__\"]\n")
+    assert export_problems(source) == ["f listed twice", "g not listed", "h not imported"]
 
 
 THREAD_STARTERS = {"ThreadPoolExecutor", "Thread"}

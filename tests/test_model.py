@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import dyntf
-from dyntf import (FactorModel, HyperParams, TemporalWeights, band_indices,
+from dyntf import (FactorModel, HyperParams, band_indices,
                    compute_temporal, init_positive, load_model, model_from_dict,
                    model_to_dict, objective, predict, predict_entries, save_model)
 from dyntf.model import check_memory
@@ -17,7 +17,14 @@ def _bias_only(n=3, k=2, a=1.0, c=2.0, e=3.0, rank=1):
     zeros = np.zeros((n, rank))
     return FactorModel(S=zeros.copy(), U=zeros.copy(), Z=np.zeros((k, rank)),
                        a=np.full(n, a), c=np.full(n, c), e=np.full(k, e),
-                       weights=TemporalWeights(band=np.zeros((k, 0))))
+                       W=np.zeros((k, 0)))
+
+
+def _around(band):
+    """A bias-only model of K = len(band) slots whose W is `band`."""
+    m = _bias_only(k=len(band))
+    m.W = band
+    return m
 
 
 class TestTemporalWeights:
@@ -25,54 +32,54 @@ class TestTemporalWeights:
     # outside the band are implied; the dense view must show them exactly
 
     def test_window_is_band_width(self):
-        assert TemporalWeights(band=np.zeros((5, 3))).window == 3
+        assert _around(np.zeros((5, 3))).window == 3
         assert init_positive(2, 5, 1, 2, seed=3).window == 2
 
     def test_identity_is_valid(self):
-        weights = TemporalWeights(band=np.zeros((4, 0)))
-        weights.validate()
-        assert np.array_equal(dense_w(weights), np.eye(4))
+        m = _around(np.zeros((4, 0)))
+        m.validate()
+        assert np.array_equal(dense_w(m.W), np.eye(4))
 
     def test_diagonal_must_be_one(self):
-        w = dense_w(init_positive(2, 5, 1, 2, seed=3).weights)
+        w = dense_w(init_positive(2, 5, 1, 2, seed=3).W)
         assert (np.diag(w) == 1.0).all()
 
     def test_upper_triangle_must_be_zero(self):
-        w = dense_w(init_positive(2, 5, 1, 2, seed=3).weights)
+        w = dense_w(init_positive(2, 5, 1, 2, seed=3).W)
         assert not np.triu(w, 1).any()
 
     def test_band_limit_enforced(self):
-        w = dense_w(init_positive(2, 5, 1, 2, seed=3).weights)
+        w = dense_w(init_positive(2, 5, 1, 2, seed=3).W)
         assert not np.tril(w, -3).any()  # depth 3 > window 2
 
     def test_negative_weight_rejected(self):
         band = np.zeros((3, 2))
         band[1, 0] = -0.5
         with pytest.raises(ValueError):
-            TemporalWeights(band=band).validate()
+            _around(band).validate()
 
     def test_window_range(self):
         with pytest.raises(ValueError):
-            TemporalWeights(band=np.zeros((3, 3))).validate()
+            _around(np.zeros((3, 3))).validate()
 
     def test_band_before_slot_zero_must_be_zero(self):
         band = np.zeros((4, 2))
         band[1, 1] = 0.1  # lag 2 of slot 1 would be slot -1
         with pytest.raises(ValueError, match="before slot 0"):
-            TemporalWeights(band=band).validate()
+            _around(band).validate()
 
     def test_dense_view_places_lags(self):
         band = np.array([[0, 0], [0.1, 0], [0.2, 0.3], [0.4, 0.5]])
-        w = dense_w(TemporalWeights(band=band))
+        w = dense_w(band)
         expected = np.eye(4)
         expected[1, 0], expected[2, 1], expected[2, 0] = 0.1, 0.2, 0.3
         expected[3, 2], expected[3, 1] = 0.4, 0.5
         assert np.array_equal(w, expected)
 
     def test_dense_view_is_read_only(self):
-        weights = init_positive(3, 4, 1, 2, seed=0).weights
+        band = init_positive(3, 4, 1, 2, seed=0).W
         with pytest.raises(ValueError, match="read-only"):
-            dense_w(weights)[1, 0] += 1.0
+            dense_w(band)[1, 0] += 1.0
 
 
 def test_band_indices_row_major():
@@ -93,18 +100,18 @@ class TestInitPositive:
 
     def test_window_zero_gives_identity(self):
         m = init_positive(4, 3, 2, 0, seed=1)
-        assert np.array_equal(dense_w(m.weights), np.eye(3))
+        assert np.array_equal(dense_w(m.W), np.eye(3))
 
     def test_band_strictly_positive(self):
         m = init_positive(4, 5, 2, 3, seed=2)
         ks, ls = band_indices(5, 3)
-        assert dense_w(m.weights)[ks, ls].min() > 0
+        assert dense_w(m.W)[ks, ls].min() > 0
 
     def test_same_seed_bitwise_identical(self):
         a = init_positive(5, 4, 2, 2, seed=42)
         b = init_positive(5, 4, 2, 2, seed=42)
         for x, y in ((a.S, b.S), (a.U, b.U), (a.Z, b.Z), (a.a, b.a),
-                     (a.c, b.c), (a.e, b.e), (dense_w(a.weights), dense_w(b.weights))):
+                     (a.c, b.c), (a.e, b.e), (dense_w(a.W), dense_w(b.W))):
             assert np.array_equal(x, y)
 
     def test_shapes_and_properties(self):
@@ -147,7 +154,7 @@ class TestComputeTemporal:
         m = FactorModel(S=np.ones((1, 1)), U=np.ones((1, 1)),
                         Z=np.array([[2.0], [4.0]]), a=np.zeros(1),
                         c=np.zeros(1), e=np.zeros(2),
-                        weights=TemporalWeights(band=band))
+                        W=band)
         z_hat, _ = compute_temporal(m)
         assert np.array_equal(z_hat, np.array([[2.0], [5.0]]))
 
@@ -155,7 +162,7 @@ class TestComputeTemporal:
         band = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0]])  # full lower ones
         m = FactorModel(S=np.ones((1, 1)), U=np.ones((1, 1)),
                         Z=np.ones((3, 1)), a=np.zeros(1), c=np.zeros(1),
-                        e=np.ones(3), weights=TemporalWeights(band=band))
+                        e=np.ones(3), W=band)
         _, e_hat = compute_temporal(m)
         assert np.array_equal(e_hat, np.array([1.0, 2.0, 3.0]))
 
@@ -171,7 +178,7 @@ class TestPredict:
     def test_rank_one_product(self):
         m = FactorModel(S=np.array([[2.0]]), U=np.array([[3.0]]),
                         Z=np.array([[1.0]]), a=np.zeros(1), c=np.zeros(1),
-                        e=np.zeros(1), weights=TemporalWeights(band=np.zeros((1, 0))))
+                        e=np.zeros(1), W=np.zeros((1, 0)))
         assert predict(m, 0, 0, 0) == 6.0
 
     def test_doubling_sender_row_doubles_feature_term(self):
@@ -286,7 +293,7 @@ class TestObjective:
         # perfect fit with all parameters 1: prediction 1*1*1 + 1+1+1 = 4
         m = FactorModel(S=np.ones((1, 1)), U=np.ones((1, 1)), Z=np.ones((1, 1)),
                         a=np.ones(1), c=np.ones(1), e=np.ones(1),
-                        weights=TemporalWeights(band=np.zeros((1, 0))))
+                        W=np.zeros((1, 0)))
         t = dyntf.SparseTensor(1, 1, [0], [0], [0], [4.0])
         got = objective(m, t, HyperParams(0.1, 0.1))
         assert got == pytest.approx(0.3, rel=1e-15)
@@ -313,7 +320,7 @@ class TestSerialization:
         save_model(m, hp, path)
         back, hp_back = load_model(path)
         for x, y in ((m.S, back.S), (m.U, back.U), (m.Z, back.Z), (m.a, back.a),
-                     (m.c, back.c), (m.e, back.e), (dense_w(m.weights), dense_w(back.weights))):
+                     (m.c, back.c), (m.e, back.e), (dense_w(m.W), dense_w(back.W))):
             assert np.array_equal(x, y)
         assert (hp_back.lam, hp_back.lam_b) == (hp.lam, hp.lam_b)
         assert (back.rank, back.window) == (3, 2)
@@ -321,7 +328,7 @@ class TestSerialization:
     def test_band_serialized_in_row_major_order(self):
         m = init_positive(2, 3, 1, 2, seed=4)
         # band[k, m - 1] = w[k, k - m]: w[1,0], w[2,1], w[2,0]
-        m.weights.band[1, 0], m.weights.band[2, 0], m.weights.band[2, 1] = 0.25, 0.75, 0.5
+        m.W[1, 0], m.W[2, 0], m.W[2, 1] = 0.25, 0.75, 0.5
         doc = model_to_dict(m, HyperParams(0.0, 0.0))
         assert doc["W_band"] == [0.25, 0.5, 0.75]
         assert doc["window"] == 2
@@ -380,9 +387,9 @@ def test_copy_is_deep():
     m = init_positive(4, 3, 2, 2, seed=9)
     dup = m.copy()
     dup.S[0, 0] = 99.0
-    dup.weights.band[1, 0] = 0.123
+    dup.W[1, 0] = 0.123
     assert m.S[0, 0] != 99.0
-    assert dense_w(m.weights)[1, 0] != 0.123
+    assert dense_w(m.W)[1, 0] != 0.123
 
 
 def test_validate_catches_shape_and_sign_errors():
@@ -401,6 +408,16 @@ def test_validate_catches_shape_and_sign_errors():
     with pytest.raises(ValueError, match="bias vector dimensions disagree"):
         bad3.validate()
     bad4 = m.copy()
-    bad4.weights.band = bad4.weights.band[:2]
+    bad4.W = bad4.W[:2]
     with pytest.raises(ValueError, match="band must have K rows"):
         bad4.validate()
+
+
+@pytest.mark.parametrize("name, shape, ndim", [("W", (4,), 2), ("W", (4, 1, 1), 2),
+                                               ("S", (4,), 2)], ids=["W-1d", "W-3d", "S-1d"])
+def test_validate_checks_dimensions_first(name, shape, ndim):
+    # checked before any shape is unpacked or indexed, so a wrong one is named
+    m = init_positive(4, 4, 2, 1, seed=9)
+    setattr(m, name, np.zeros(shape))
+    with pytest.raises(ValueError, match=f"^{name} must have {ndim} dimensions, not {len(shape)}$"):
+        m.validate()

@@ -669,7 +669,7 @@ class TestGenerateSynthetic:
         for arr in (truth.S, truth.U, truth.Z, truth.a, truth.c, truth.e):
             assert arr.min() > 0
         assert truth.window == 0
-        assert np.array_equal(dense_w(truth.weights), np.eye(truth.n_slots))
+        assert np.array_equal(dense_w(truth.W), np.eye(truth.n_slots))
 
     def test_values_nonnegative(self, fixture_data):
         data, _ = fixture_data

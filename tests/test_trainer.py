@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 import dyntf
 import dyntf.trainer
 from dyntf import (DivergenceError, FactorModel, HyperParams, SparseTensor,
-                   TemporalWeights, TrainConfig, analytic_gradient, band_indices,
+                   TrainConfig, analytic_gradient, band_indices,
                    compute_temporal, generate_synthetic, init_positive, model_to_dict,
                    nmu_epoch, objective, predict_entries, train)
 
@@ -22,14 +22,14 @@ from conftest import block_rows, dense_w, traced_peak
 def _single_entry_model(value=2.0):
     m = FactorModel(S=np.ones((1, 1)), U=np.ones((1, 1)), Z=np.ones((1, 1)),
                     a=np.zeros(1), c=np.zeros(1), e=np.zeros(1),
-                    weights=TemporalWeights(band=np.zeros((1, 0))))
+                    W=np.zeros((1, 0)))
     t = SparseTensor(1, 1, [0], [0], [0], [value])
     return m, t
 
 
 def _max_param_change(a: FactorModel, b: FactorModel) -> float:
     pairs = ((a.S, b.S), (a.U, b.U), (a.Z, b.Z), (a.a, b.a), (a.c, b.c),
-             (a.e, b.e), (dense_w(a.weights), dense_w(b.weights)))
+             (a.e, b.e), (dense_w(a.W), dense_w(b.W)))
     return max(float(np.max(np.abs(x - y))) if x.size else 0.0 for x, y in pairs)
 
 
@@ -55,7 +55,7 @@ class TestNmuEpoch:
         m = init_positive(12, 6, 3, 4, seed=17)
         for _ in range(30):
             nmu_epoch(m, data, HyperParams(0.05, 0.02))
-        for arr in (m.S, m.U, m.Z, m.a, m.c, m.e, dense_w(m.weights)):
+        for arr in (m.S, m.U, m.Z, m.a, m.c, m.e, dense_w(m.W)):
             assert arr.min() >= 0
 
     def test_structure_preserved(self):
@@ -63,12 +63,12 @@ class TestNmuEpoch:
         m = init_positive(12, 6, 2, 2, seed=18)
         for _ in range(20):
             nmu_epoch(m, data, HyperParams(0.01, 0.01))
-        w = dense_w(m.weights)
+        w = dense_w(m.W)
         assert (np.diag(w) == 1.0).all()
         rows, cols = np.indices(w.shape)
         outside = (cols > rows) | (rows - cols > 2)
         assert (w[outside] == 0.0).all()
-        m.weights.validate()
+        m.validate()
 
     def test_untouched_parameters_left_alone(self):
         # data only at i in {0,1}, j in {2,3}, slot 1; window 1
@@ -85,8 +85,8 @@ class TestNmuEpoch:
         assert np.array_equal(m.Z[2:], before.Z[2:])
         assert np.array_equal(m.e[2:], before.e[2:])
         # W rows for slots without observations keep their band values
-        assert dense_w(m.weights)[1, 0] != dense_w(before.weights)[1, 0]
-        assert np.array_equal(dense_w(m.weights)[2:], dense_w(before.weights)[2:])
+        assert dense_w(m.W)[1, 0] != dense_w(before.W)[1, 0]
+        assert np.array_equal(dense_w(m.W)[2:], dense_w(before.W)[2:])
         # parameters with data did move
         assert not np.array_equal(m.S[:2], before.S[:2])
 
@@ -95,7 +95,7 @@ class TestNmuEpoch:
         m = init_positive(10, 5, 2, 0, seed=4)
         for _ in range(10):
             nmu_epoch(m, data, HyperParams(0.01, 0.01))
-        assert np.array_equal(dense_w(m.weights), np.eye(5))
+        assert np.array_equal(dense_w(m.W), np.eye(5))
 
     def test_empty_training_set_is_identity(self):
         t = SparseTensor(3, 2, [], [], [], [])
@@ -386,7 +386,7 @@ def _mu_cases(draw):
                           draw(st.integers(0, n_slots - 1)), seed=draw(st.integers(0, 2**16)))
     # zero some parameters exactly: multiplicative updates must keep them at 0
     zero_rng = np.random.default_rng(draw(st.integers(0, 2**16)))
-    for arr in (model.S, model.U, model.Z, model.a, model.c, model.e, model.weights.band):
+    for arr in (model.S, model.U, model.Z, model.a, model.c, model.e, model.W):
         arr[zero_rng.random(arr.shape) < 0.2] = 0.0
     hp = HyperParams(draw(st.floats(0.0, 1.0)), draw(st.floats(0.0, 1.0)))
     return model, data, hp
@@ -394,7 +394,7 @@ def _mu_cases(draw):
 
 def _params(model):
     return {"S": model.S, "U": model.U, "Z": model.Z, "a": model.a, "c": model.c,
-            "e": model.e, "band": model.weights.band}
+            "e": model.e, "band": model.W}
 
 
 class TestMuInvariants:
@@ -521,7 +521,7 @@ def _perturbed(model: FactorModel, coord, delta: float) -> FactorModel:
     elif kind == "e":
         m.e[coord[1]] += delta
     elif kind == "w":
-        m.weights.band[coord[1], coord[1] - coord[2] - 1] += delta
+        m.W[coord[1], coord[1] - coord[2] - 1] += delta
     else:
         raise ValueError(kind)
     return m
