@@ -173,57 +173,53 @@ def cmd_split(args) -> int:
 
 
 def cmd_train(args) -> int:
-    fixed_given = args.lam is not None or args.lam_b is not None
-    if args.adapt and fixed_given:
-        raise UsageError("give either --lambda/--lambda-b or --adapt, not both")
-    if not args.adapt and (args.lam is None or args.lam_b is None):
-        raise UsageError("fixed training needs both --lambda and --lambda-b (or use --adapt)")
-
-    train_set = load_coo(args.train_path, n_nodes=args.nodes, n_slots=args.slots)
-    val_set = load_coo(args.val_path, n_nodes=train_set.n_nodes, n_slots=train_set.n_slots)
-
-    window = 0 if args.mode == "baseline" else args.window  # baseline is window 0
-    if window is None:
-        window = train_set.n_slots - 1
-
-    init_ss, dea_ss = np.random.SeedSequence(args.seed).spawn(2)
+    # every flag is checked before a file is read, except init_positive's
+    # rank, init-scale and window: the window's range needs K
     try:
-        model = init_positive(train_set.n_nodes, train_set.n_slots, args.rank,
-                              window, init_ss, scale=args.init_scale)
         tc = TrainConfig(max_epochs=args.max_epochs, tolerance=args.tol)
         if args.adapt:
+            if args.lam is not None or args.lam_b is not None:
+                raise UsageError("give either --lambda/--lambda-b or --adapt, not both")
             bounds = _parse_floats(args.bounds, 4, "--bounds")
-            dea = DEAConfig(population=args.pop, scale_factor=args.scale_factor,
-                            crossover_prob=args.cp, bounds=bounds,
-                            best_rule=args.best_rule, seed=dea_ss)
+            fit, settings = adapt_train, DEAConfig(
+                population=args.pop, scale_factor=args.scale_factor, crossover_prob=args.cp,
+                bounds=bounds, best_rule=args.best_rule)
+            echo = {"pop": args.pop, "scale_factor": args.scale_factor, "cp": args.cp,
+                    "bounds": list(bounds), "best_rule": args.best_rule}
         else:
-            hp_out = HyperParams(lam=args.lam, lam_b=args.lam_b)
+            if args.lam is None or args.lam_b is None:
+                raise UsageError("fixed training needs both --lambda and --lambda-b "
+                                 "(or use --adapt)")
+            fit, settings = train, HyperParams(lam=args.lam, lam_b=args.lam_b)
+            echo = {"lambda": args.lam, "lambda_b": args.lam_b}
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
 
-    config_echo = {
+    train_set = load_coo(args.train_path, n_nodes=args.nodes, n_slots=args.slots)
+    val_set = load_coo(args.val_path, n_nodes=train_set.n_nodes, n_slots=train_set.n_slots)
+    window = 0 if args.mode == "baseline" else args.window  # baseline is window 0
+    if window is None:
+        window = train_set.n_slots - 1
+    # numpy.random's first use; before the loads it raises the peak RSS by ~1 MB
+    init_ss, dea_ss = np.random.SeedSequence(args.seed).spawn(2)
+    if args.adapt:
+        settings.seed = dea_ss
+    try:
+        model = init_positive(train_set.n_nodes, train_set.n_slots, args.rank,
+                              window, init_ss, scale=args.init_scale)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
+    fitted, report = fit(model, train_set, val_set, settings, tc, threads=args.threads)
+
+    # report before model: a run cut between the two writes leaves no new
+    # model without its report
+    write_json(args.report, {**report.to_dict(), "config": {
         "command": "train", "train": str(args.train_path), "val": str(args.val_path),
         "mode": args.mode, "rank": args.rank, "window": window,
         "max_epochs": args.max_epochs, "tol": args.tol,
         "init_scale": args.init_scale, "seed": args.seed,
-        "threads": args.threads, "adapt": bool(args.adapt),
-    }
-    if args.adapt:
-        config_echo.update({"pop": args.pop, "scale_factor": args.scale_factor,
-                            "cp": args.cp, "bounds": list(bounds),
-                            "best_rule": args.best_rule})
-        fitted, report = adapt_train(model, train_set, val_set, dea, tc, threads=args.threads)
-        hp_out = report.final_hp
-    else:
-        config_echo.update({"lambda": args.lam, "lambda_b": args.lam_b})
-        fitted, report = train(model, train_set, val_set, hp_out, tc, threads=args.threads)
-
-    # report before model: a run cut between the two writes leaves no new
-    # model without its report
-    doc = report.to_dict()
-    doc["config"] = config_echo
-    write_json(args.report, doc)
-    save_model(fitted, hp_out, args.out)
+        "threads": args.threads, "adapt": bool(args.adapt), **echo}})
+    save_model(fitted, report.final_hp, args.out)
     _log(f"[train] {report.epochs_run} epochs ({report.termination}), "
          f"final h={report.per_epoch_h[-1]:.6f}")
     return 0

@@ -93,6 +93,8 @@ class FactorModel:
             ndim = 1 if name in ("a", "c", "e") else 2
             if arr.ndim != ndim:
                 raise ValueError(f"{name} must have {ndim} dimensions, not {arr.ndim}")
+            if arr.dtype != np.float64:
+                raise ValueError(f"{name} must hold float64 values, not {arr.dtype}")
         n, d = self.S.shape
         k = self.Z.shape[0]
         if self.U.shape != (n, d) or self.Z.shape != (k, d):

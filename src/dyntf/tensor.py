@@ -43,6 +43,11 @@ class SparseTensor:
     """
 
     def __init__(self, n_nodes: int, n_slots: int, i, j, k, values):
+        for name, a in zip("ijk", map(np.asarray, (i, j, k))):  # 1.9 fails, not truncated
+            with np.errstate(invalid="ignore"):  # a nan casts to garbage, which != catches
+                bad = np.flatnonzero(a.astype(np.int64) != a) if a.dtype.kind in "fu" else ()
+            if len(bad):
+                raise TypeError(f"{name} holds {a[bad[0]]} at entry {bad[0]}, not an int64 index")
         self._keep(n_nodes, n_slots, *(np.array(a, dtype=np.int64) for a in (i, j, k)),
                    np.array(values, dtype=np.float64))
 

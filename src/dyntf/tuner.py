@@ -106,13 +106,10 @@ def init_swarm(config: DEAConfig, template: FactorModel) -> Swarm:
                  replicas=config.population)
     seed = config.seed
     ss = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
-    lo1, hi1, lo2, hi2 = config.bounds
-    individuals = []
-    for child in ss.spawn(config.population):
-        rng = np.random.default_rng(child)
-        theta = rng.random(2)
-        v = np.array([lo1 + theta[0] * (hi1 - lo1), lo2 + theta[1] * (hi2 - lo2)])
-        individuals.append(Individual(v=v, model=template.copy(), rng=rng))
+    lo, hi = np.array(config.bounds[0::2]), np.array(config.bounds[1::2])  # as mutation clips
+    rngs = [np.random.default_rng(child) for child in ss.spawn(config.population)]
+    individuals = [Individual(v=lo + rng.random(2) * (hi - lo), model=template.copy(), rng=rng)
+                   for rng in rngs]
     return Swarm(individuals=individuals, tau=individuals[0].v.copy(), tau_h=math.inf)
 
 

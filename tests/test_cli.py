@@ -264,6 +264,37 @@ class TestTrain:
                    workspace / "va.coo", "--lambda", 0.1, "--lambda-b", 0.1,
                    "--out", workspace / "m", "--report", workspace / "r") == 3
 
+    @pytest.mark.parametrize("flags", [
+        ["--lambda", 0.1, "--lambda-b", 0.1, "--max-epochs", 0],
+        ["--lambda", 0.1, "--lambda-b", 0.1, "--tol", "nan"],
+        ["--adapt", "--pop", 3],
+        ["--adapt", "--scale-factor", "nan"],
+        ["--adapt", "--cp", 2],
+        ["--adapt", "--bounds", "1,0,0,1"],
+        ["--lambda", -1, "--lambda-b", 0.1],
+    ], ids=["max-epochs-0", "tol-nan", "pop-3", "scale-factor-nan", "cp-2", "bounds-unordered",
+            "lambda-negative"])
+    def test_bad_flag_is_usage_error_before_any_file_is_read(self, tmp_path, capsys, flags):
+        # the missing --train would exit 3, so a 2 means the flag was checked first
+        assert run("train", "--train", tmp_path / "missing.coo", "--val", tmp_path / "va.coo",
+                   *flags, "--out", tmp_path / "m.json", "--report", tmp_path / "r.json") == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+        assert os.listdir(tmp_path) == []
+
+    @pytest.mark.parametrize("fit, keys", [
+        (["--lambda", 0.01, "--lambda-b", 0.02], ["lambda", "lambda_b"]),
+        (["--adapt", "--pop", 4], ["pop", "scale_factor", "cp", "bounds", "best_rule"]),
+    ], ids=["fixed", "adapt"])
+    def test_report_config_keys_and_order(self, workspace, fit, keys):
+        assert _train(workspace, *fit, "--max-epochs", 2) == 0
+        doc = json.loads((workspace / "r.json").read_text())
+        assert list(doc)[-1] == "config"
+        assert list(doc["config"]) == [
+            "command", "train", "val", "mode", "rank", "window", "max_epochs", "tol",
+            "init_scale", "seed", "threads", "adapt", *keys]
+        assert doc["config"]["adapt"] is (fit[0] == "--adapt")
+
     def test_report_written_before_model(self, workspace, monkeypatch):
         def full_disk(*args, **kwargs):
             raise OSError("No space left on device")

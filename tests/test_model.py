@@ -421,3 +421,14 @@ def test_validate_checks_dimensions_first(name, shape, ndim):
     setattr(m, name, np.zeros(shape))
     with pytest.raises(ValueError, match=f"^{name} must have {ndim} dimensions, not {len(shape)}$"):
         m.validate()
+
+
+@pytest.mark.parametrize("dtype", [np.int64, np.float32])
+@pytest.mark.parametrize("name", ["S", "U", "Z", "a", "c", "e", "W"])
+def test_validate_requires_float64(name, dtype):
+    # the epoch's in-place float64 arithmetic would fail on it later, far from the cause
+    m = init_positive(4, 4, 2, 1, seed=9)
+    setattr(m, name, getattr(m, name).astype(dtype))
+    with pytest.raises(ValueError,
+                       match=f"^{name} must hold float64 values, not {np.dtype(dtype)}$"):
+        m.validate()

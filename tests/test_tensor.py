@@ -500,6 +500,29 @@ def test_dimensions_must_be_integers():
     assert (type(t.n_nodes), type(t.n_slots)) == (int, int)
 
 
+
+@pytest.mark.parametrize("name", ["i", "j", "k"])
+@pytest.mark.parametrize("bad, shown", [
+    (np.array([0, 1.9]), "1.9"),
+    (np.array([0, np.nan]), "nan"),
+    (np.array([0, 2.0**63]), "9.223372036854776e+18"),
+    (np.array([0, 2**64 - 1], dtype=np.uint64), "18446744073709551615"),
+], ids=["fraction", "nan", "float-past-int64", "uint64-past-int64"])
+def test_index_values_must_survive_the_int64_cast(name, bad, shown):
+    # refused, like n_nodes=2.9, rather than truncated, wrapped or cast to garbage
+    cols = {"i": [0, 1], "j": [1, 0], "k": [0, 0]}
+    cols[name] = bad
+    with pytest.raises(TypeError, match=rf"^{name} holds {re.escape(shown)} at entry 1, not an int64 index$"):
+        SparseTensor(3, 3, cols["i"], cols["j"], cols["k"], [1.0, 2.0])
+
+
+def test_whole_float_and_empty_indices_are_accepted():
+    t = SparseTensor(3, 3, np.array([0.0, 2.0]), np.array([1, 2], dtype=np.uint64),
+                     [0.0, 1.0], [1.0, 2.0])
+    assert entry_tuples(t) == [(0, 1, 0, 1.0), (2, 2, 1, 2.0)]
+    assert t.i.dtype == t.j.dtype == t.k.dtype == np.int64
+    assert SparseTensor(3, 3, [], [], [], []).n_entries == 0
+
 def test_take_subset(small_tensor):
     sub = small_tensor.take(np.array([1, 3]))
     entries = entry_tuples(small_tensor)
