@@ -24,7 +24,7 @@ from .errors import DataError, DivergenceError
 from .metrics import h_score, mae, rmse  # noqa: F401
 from .model import (HyperParams, compute_temporal, init_positive, load_model,  # noqa: F401
                     predict, predict_entries, save_model)
-from .tensor import MAX_DIM, generate_synthetic, load_coo, save_coo, split
+from .tensor import MAX_DIM, generate_synthetic, load_coo, save_coo, split, split_ratios
 from .trainer import TrainConfig, train, validation_metrics
 from .tuner import DEAConfig, adapt_train
 
@@ -148,19 +148,11 @@ def cmd_generate(args) -> int:
     return 0
 
 
-def _parse_floats(text: str, count: int, flag: str) -> tuple:
-    """`count` comma-separated finite numbers, else a UsageError naming `flag`."""
-    try:
-        parts = tuple(float(tok) for tok in text.split(","))
-    except ValueError:
-        parts = ()
-    if len(parts) != count or not np.isfinite(parts).all():
-        raise UsageError(f"{flag} must be {count} comma-separated finite numbers")
-    return parts
-
-
 def cmd_split(args) -> int:
-    ratios = _parse_floats(args.ratios, 3, "--ratios")
+    try:
+        ratios = split_ratios(list(map(float, args.ratios.split(","))))
+    except ValueError as exc:
+        raise UsageError(f"--ratios: {exc}") from exc
     # the loaded tensor is freed once split returns, before the parts are written
     result = split(load_coo(args.input, n_nodes=args.nodes, n_slots=args.slots), ratios,
                    args.seed)
@@ -180,12 +172,11 @@ def cmd_train(args) -> int:
         if args.adapt:
             if args.lam is not None or args.lam_b is not None:
                 raise UsageError("give either --lambda/--lambda-b or --adapt, not both")
-            bounds = _parse_floats(args.bounds, 4, "--bounds")
             fit, settings = adapt_train, DEAConfig(
                 population=args.pop, scale_factor=args.scale_factor, crossover_prob=args.cp,
-                bounds=bounds, best_rule=args.best_rule)
+                bounds=tuple(map(float, args.bounds.split(","))), best_rule=args.best_rule)
             echo = {"pop": args.pop, "scale_factor": args.scale_factor, "cp": args.cp,
-                    "bounds": list(bounds), "best_rule": args.best_rule}
+                    "bounds": list(settings.bounds), "best_rule": args.best_rule}
         else:
             if args.lam is None or args.lam_b is None:
                 raise UsageError("fixed training needs both --lambda and --lambda-b "

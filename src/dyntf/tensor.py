@@ -141,7 +141,8 @@ def load_coo(source, n_nodes: int | None = None, n_slots: int | None = None) -> 
     at a time, so about one block of text is held whatever the file's size.
 
     Args:
-        source: path (read as bytes), text or byte stream; lines end at "\\n" alone.
+        source: path (read as bytes), byte or text stream. Lines end at "\\n" alone, except
+            in a text stream that translates newlines: open(path) has made "\\r" a line end.
         n_nodes, n_slots: declared bounds, integers. Optional if the file
             carries a `%dims N N K` header; if both are present they must agree.
 
@@ -295,6 +296,20 @@ def save_coo(tensor: SparseTensor, dest) -> None:
                 tensor.values[lo:lo + _WRITE_BLOCK].tolist())]))
 
 
+def split_ratios(ratios) -> np.ndarray:
+    """`split`'s (train, validation, test) as float64; ValueError unless finite, >= 0, not all 0."""
+    r = np.asarray(ratios, dtype=float)
+    if r.shape != (3,):
+        raise ValueError("ratios must be a triple (train, validation, test)")
+    if not np.isfinite(r).all():
+        raise ValueError(f"non-finite ratios {tuple(r.tolist())}")
+    if (r < 0).any():
+        raise ValueError("ratios must be nonnegative")
+    if not r.any():
+        raise ValueError("ratio sum zero")
+    return r
+
+
 def split(tensor: SparseTensor, ratios, seed: int) -> DatasetSplit:
     """Shuffle entries and slice into train / validation / test parts.
 
@@ -303,24 +318,15 @@ def split(tensor: SparseTensor, ratios, seed: int) -> DatasetSplit:
     entry count. Deterministic given the seed.
 
     Raises:
-        ValueError: fewer than three ratios, a non-finite or negative ratio,
-            ratio sum zero, an empty input tensor, or any part coming out empty.
+        ValueError: ratios that `split_ratios` refuses, an empty tensor or an empty part.
     """
-    r = np.asarray(ratios, dtype=float)
-    if r.shape != (3,):
-        raise ValueError("ratios must be a triple (train, validation, test)")
-    if not np.isfinite(r).all():
-        raise ValueError(f"non-finite ratios {tuple(r.tolist())}")
-    if (r < 0).any():
-        raise ValueError("ratios must be nonnegative")
+    r = split_ratios(ratios)
     n = tensor.n_entries
-    if n and r.max() > np.finfo(float).max / (3 * n):
-        r = r / r.max()  # only the proportions matter; this keeps n * r and its sum finite
-    total = float(r.sum())
-    if total == 0:
-        raise ValueError("ratio sum zero")
     if n == 0:
         raise ValueError("empty tensor")
+    if r.max() > np.finfo(float).max / (3 * n):
+        r = r / r.max()  # only the proportions matter; this keeps n * r and its sum finite
+    total = float(r.sum())
     n_val = int(np.floor(n * r[1] / total))
     n_test = int(np.floor(n * r[2] / total))
     n_train = n - n_val - n_test

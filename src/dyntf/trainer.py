@@ -254,6 +254,8 @@ def nmu_epoch(model: FactorModel, train: "SparseTensor", hp: HyperParams, *,
     model as it was, when a term or an updated group turns non-finite or
     the updated predictions could overflow.
     """
+    if threads < 1:
+        raise ValueError(f"threads must be >= 1, got {threads}")
     terms = _mu_terms(model, train, hp, threads)
     old = {name: getattr(model, name) for name in terms}
     new = {}

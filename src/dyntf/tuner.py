@@ -70,9 +70,9 @@ class DEAConfig:
             raise ValueError("crossover_prob must lie in [0, 1]")
         if not (0 <= self.scale_factor < math.inf):
             raise ValueError("scale_factor must be finite and nonnegative")
-        lo1, hi1, lo2, hi2 = self.bounds
-        if not (0 <= lo1 <= hi1 < math.inf and 0 <= lo2 <= hi2 < math.inf):
-            raise ValueError("bounds must be finite, nonnegative and ordered (min <= max)")
+        b = self.bounds
+        if len(b) != 4 or not (0 <= b[0] <= b[1] < math.inf and 0 <= b[2] <= b[3] < math.inf):
+            raise ValueError("bounds must be 4 finite, nonnegative numbers, ordered min <= max")
         if self.best_rule not in ("argmin_h", "paper_f"):
             raise ValueError("best_rule must be 'argmin_h' or 'paper_f'")
 
@@ -212,6 +212,8 @@ def adapt_train(template: FactorModel, train, validation, dea: DEAConfig,
         threads: how many individuals are evaluated at once; each replica
             is private, so the thread count changes no result.
     """
+    if threads < 1:
+        raise ValueError(f"threads must be >= 1, got {threads}")
     if validation.n_entries == 0:
         raise ValueError("empty validation set")
     template.validate()

@@ -168,6 +168,19 @@ class TestSplit:
                    "--out-train", workspace / "a", "--out-val", workspace / "b",
                    "--out-test", workspace / "c") == 3
 
+    @pytest.mark.parametrize("ratios", ["-1,1,1", "0,0,0", "nan,1,1", "1,2", "1,x,2"])
+    def test_bad_ratios_refused_before_any_read(self, tmp_path, capsys, monkeypatch, ratios):
+        def no_load(*args, **kwargs):
+            raise AssertionError("load_coo called before the ratios were checked")
+
+        monkeypatch.setattr(dyntf.cli, "load_coo", no_load)
+        assert run("split", "--input", tmp_path / "missing.coo", f"--ratios={ratios}",
+                   "--out-train", tmp_path / "a", "--out-val", tmp_path / "b",
+                   "--out-test", tmp_path / "c") == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: --ratios: "), err
+        assert list(tmp_path.iterdir()) == []
+
     def test_dims_past_int64_is_data_error(self, tmp_path, capsys):
         # the record is below the declared N but does not fit an int64 index
         src = tmp_path / "big.coo"

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import dyntf
 from dyntf import DataError, SparseTensor, compute_stats, generate_synthetic, load_coo, save_coo, split
-from dyntf.tensor import MAX_DIM, _sample_positions
+from dyntf.tensor import MAX_DIM, _sample_positions, split_ratios
 
 from conftest import dense_w, entry_tuples, traced_peak
 
@@ -276,8 +276,9 @@ def test_every_source_ends_lines_at_newline_alone(tmp_path, data):
     path = tmp_path / "t.coo"
     path.write_bytes(data)
     expected = _outcome(_reference_load, data.decode(), {})
-    for source in (path, io.BytesIO(data), io.StringIO(data.decode())):
-        assert _outcome(lambda _: load_coo(source), None, {}) == expected, source
+    with open(path, "rb") as binary, open(path, encoding="utf-8", newline="") as text:
+        for source in (path, io.BytesIO(data), io.StringIO(data.decode()), binary, text):
+            assert _outcome(lambda _: load_coo(source), None, {}) == expected, source
 
 
 def test_walk_reads_the_numbers_of_the_c_reader():
@@ -636,6 +637,18 @@ class TestSplit:
         t = SparseTensor(2, 2, [], [], [], [])
         with pytest.raises(ValueError, match="empty tensor"):
             split(t, (7, 1, 2), seed=0)
+
+    @pytest.mark.parametrize("ratios, message", [
+        ((0, 0, 0), "^ratio sum zero$"), ((1, 1), "triple"), ((1, 1, 1, 1), "triple"),
+        ((7, -1, 2), "nonnegative"), ((1, np.nan, 1), r"^non-finite ratios \(")])
+    def test_split_ratios_refuses_what_split_refuses(self, small_tensor, ratios, message):
+        for check in (split_ratios, lambda r: split(small_tensor, r, seed=0)):
+            with pytest.raises(ValueError, match=message):
+                check(ratios)
+
+    def test_split_ratios_returns_a_float64_triple(self):
+        r = split_ratios([7, 1, 2])
+        assert r.dtype == np.float64 and r.shape == (3,) and r.tolist() == [7.0, 1.0, 2.0]
 
 
 class TestComputeStats:

@@ -128,6 +128,20 @@ class TestNmuEpoch:
         assert [_max_param_change(results[0], m) for m in results[1:]] == [0.0, 0.0]
 
 
+@pytest.mark.parametrize("threads", [0, -2])
+def test_threads_below_one_refused_before_any_update(threads):
+    m, t = _single_entry_model()
+    snapshot = m.copy()
+    hp, tc = HyperParams(0.0, 0.0), TrainConfig(max_epochs=3)
+    for fit in (lambda: nmu_epoch(m, t, hp, threads=threads),
+                lambda: train(m, t, t, hp, tc, threads=threads),
+                lambda: dyntf.adapt_train(m, t, t, dyntf.DEAConfig(population=4), tc,
+                                          threads=threads)):
+        with pytest.raises(ValueError, match=f"^threads must be >= 1, got {threads}$"):
+            fit()
+    assert _max_param_change(snapshot, m) == 0.0
+
+
 class TestOrderedMap:
     # the epoch's column runs and the tuner's swarm both take their results
     # in item order; items 0 and 1 sleep, so on threads the later ones finish first

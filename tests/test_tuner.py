@@ -64,6 +64,11 @@ class TestDEAConfig:
     def test_integer_population_is_a_python_int(self):
         assert type(DEAConfig(population=np.int64(5)).population) is int
 
+    @pytest.mark.parametrize("bounds", [(0.1, 0.2, 0.3), (0.1, 0.2, 0.1, 0.2, 0.3)])
+    def test_bounds_must_be_four_numbers(self, bounds):
+        with pytest.raises(ValueError, match="^bounds must be 4 "):
+            DEAConfig(bounds=bounds)
+
 
 class TestInitSwarm:
     def test_vectors_inside_bounds_and_deterministic(self):

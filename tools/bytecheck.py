@@ -5,7 +5,9 @@
 Runs the CLI of CHECKOUT's `src/` (default: the checkout holding this
 file), each command in a fresh process whose working directory is DIR, so
 every path a report echoes is relative and the same for any checkout.
-Prints one `sha256  name` line per output file, in run order.
+Prints one `sha256  name` line per output file, in run order, and one
+`exit N  <last stderr line>  <label>` line per refused command (followed
+by the names of any files it left).
 
 The runs:
 - fixtures: generate with truth (N 60, K 30, rank 3, density 0.1), split,
@@ -13,6 +15,9 @@ The runs:
   `--adapt --pop 5`, paper_f with `--tol 0.05`, paper_f with pop 4,
   `--mode baseline`, `--window 3 --tol 0`), evaluate of a trained model
   and of the truth model, and `predict --i 3 --j 14 --k 6`;
+- refusals: commands that must fail (REFUSALS), run after the fixtures in
+  the same directory, so a diff shows each exit code or message a change
+  moves;
 - the benchmark shapes at seed 9001: each workload's input from
   perfbench/gen.py, its split parts, and its model, train report and
   evaluate report at `--threads` 1 and 2, with the command lines of
@@ -24,7 +29,8 @@ Two checkouts give the same bytes when the outputs of
     python3 tools/bytecheck.py --out b > b.txt
     diff a.txt b.txt
 
-agree. Any command that fails stops the run with its exit code and stderr.
+agree. Any fixture or benchmark command that fails stops the run with its
+exit code and stderr.
 """
 
 from __future__ import annotations
@@ -47,6 +53,23 @@ FITS = {
     "baseline": [*FIXED, "--mode", "baseline"],
     "window3": [*FIXED, "--window", "3", "--tol", "0"],
 }
+SPLIT_OUT = ["--out-train", "no-tr.coo", "--out-val", "no-va.coo", "--out-test", "no-te.coo"]
+TRAIN_IO = ["--train", "tr.coo", "--val", "va.coo", "--out", "no.model.json",
+            "--report", "no.report.json"]
+REFUSALS = {
+    "split --ratios=-1,1,1": ["split", "--input", "data.coo", "--ratios=-1,1,1", *SPLIT_OUT],
+    "split --input missing.coo --ratios=0,0,0":
+        ["split", "--input", "missing.coo", "--ratios=0,0,0", *SPLIT_OUT],
+    "split --ratios 1,0,0": ["split", "--input", "data.coo", "--ratios", "1,0,0", *SPLIT_OUT],
+    "train --adapt --bounds 1,2,3": ["train", *TRAIN_IO, "--adapt", "--bounds", "1,2,3"],
+    "train --adapt --bounds a,b,c,d": ["train", *TRAIN_IO, "--adapt", "--bounds", "a,b,c,d"],
+    "train --max-epochs 0": ["train", *TRAIN_IO, *FIXED, "--max-epochs", "0"],
+    "train --threads 0": ["train", *TRAIN_IO, *FIXED, "--threads", "0"],
+    "evaluate missing.coo": ["evaluate", "--model", "fixed-t1.model.json", "--test",
+                             "missing.coo", "--report", "no.eval.json"],
+    "predict --i 99": ["predict", "--model", "fixed-t1.model.json",
+                       "--i", "99", "--j", "0", "--k", "0"],
+}
 
 
 class Checkout:
@@ -56,11 +79,14 @@ class Checkout:
         self.out = out
         self.env = {**os.environ, "PYTHONPATH": os.path.join(root, "src")}
 
-    def cli(self, *args) -> str:
+    def run(self, *args) -> subprocess.CompletedProcess:
         argv = [sys.executable, "-m", "dyntf.cli", *map(str, args)]
-        proc = subprocess.run(argv, cwd=self.out, env=self.env, capture_output=True, text=True)
+        return subprocess.run(argv, cwd=self.out, env=self.env, capture_output=True, text=True)
+
+    def cli(self, *args) -> str:
+        proc = self.run(*args)
         if proc.returncode:
-            sys.exit(f"exit {proc.returncode}: {' '.join(argv[3:])}\n{proc.stderr}")
+            sys.exit(f"exit {proc.returncode}: {' '.join(map(str, args))}\n{proc.stderr}")
         return proc.stdout
 
     def show(self, *names: str) -> None:
@@ -92,6 +118,16 @@ def fixtures(checkout: Checkout) -> None:
     checkout.show("predict.txt")
 
 
+def refusals(checkout: Checkout) -> None:
+    for label, args in REFUSALS.items():
+        before = set(os.listdir(checkout.out))
+        proc = checkout.run(*args)
+        last = (proc.stderr.splitlines() or [""])[-1]
+        wrote = sorted(set(os.listdir(checkout.out)) - before)  # a refusal writes no file
+        print(f"exit {proc.returncode}  {last}  {label}" + (f"  wrote {wrote}" if wrote else ""),
+              flush=True)
+
+
 def bench_shapes(checkout: Checkout, perfbench: str) -> None:
     sys.path.insert(0, perfbench)
     import run as bench  # perfbench/run.py, read only
@@ -121,6 +157,7 @@ def main(argv=None) -> int:
     os.makedirs(args.out, exist_ok=True)
     checkout = Checkout(os.path.abspath(args.root), os.path.abspath(args.out))
     fixtures(checkout)
+    refusals(checkout)
     bench_shapes(checkout, os.path.join(os.path.abspath(args.root), "perfbench"))
     return 0
 
